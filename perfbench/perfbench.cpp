@@ -6,12 +6,14 @@
 // One single-threaded process runs one workload. It repeats the workload's
 // runs ("passes") until --seconds have elapsed and reports medians over the
 // passes. With --trace 0 the last stdout line is a JSON object holding the
-// end-to-end metrics; with --trace 1 each pass is run once plain and once
-// with the program's own instruments attached (prof::Profiler, a trace sink
-// checked by trace::TraceReplayer), and the JSON holds the per-layer metrics
-// plus the tracing overhead. Every run is checked: it must finish all jobs,
-// repeat the same outcome digest on every pass, match the pinned digest on
-// the default seed, and (traced) pass replay invariants I1-I10.
+// end-to-end metrics, each host time normalized for the host's speed by
+// calibrations (host_speed.hpp) taken before and after it; with --trace 1
+// each pass is run once plain and once with the program's own instruments
+// attached (prof::Profiler, a trace sink checked by trace::TraceReplayer),
+// and the JSON holds the per-layer metrics plus the tracing overhead. Every
+// run is checked: it must finish all jobs, repeat the same outcome digest on
+// every pass, match the pinned digest on the default seed, and (traced) pass
+// replay invariants I1-I10.
 #include <algorithm>
 #include <array>
 #include <chrono>
@@ -31,6 +33,7 @@
 
 #include "common/host.hpp"
 #include "core/ones_scheduler.hpp"
+#include "host_speed.hpp"
 #include "prof/profiler.hpp"
 #include "sched/simulation.hpp"
 #include "timed_scheduler.hpp"
@@ -54,11 +57,18 @@ double seconds_since(Clock::time_point t0) {
 /// Regenerate by running each workload with `--seed 1` and copying the
 /// printed digests, only when a change is meant to alter simulated results.
 std::vector<std::uint64_t> pinned_digests(const std::string& workload) {
-  if (workload == "ones_32gpu") return {0x626e260fdc612185ULL};
-  if (workload == "fifo_2kgpu") return {0x9e0da6ee97651737ULL};
+  if (workload == "ones_32gpu") {
+    return {0xff20a7b36d717967ULL, 0xac4ab3bc1a1a8b79ULL, 0x9c9217f6025829b5ULL,
+            0x9276c85caa32df58ULL, 0x21936ecbc0e45878ULL, 0xbcef0d8716c22e86ULL,
+            0xf9f34fc45627e00eULL, 0x8a28030dac6f31d2ULL, 0xc00737e9989db165ULL,
+            0x054661a359fbac90ULL, 0xeb164078a354e62dULL, 0x9642333626b3509eULL,
+            0xdf48142e59cc4b8aULL, 0xeae035352d97f7bbULL, 0x53943c3bba5635beULL,
+            0x91e6e2b818267649ULL};
+  }
+  if (workload == "fifo_2kgpu") return {0xafe03c684a4c2c99ULL, 0x6c71a930c1f28273ULL};
   if (workload == "baselines_chaos_64gpu") {
-    return {0x4b9128e984c558e3ULL, 0x6c6c511e58f4eda2ULL, 0x8d3b8a74744df886ULL,
-            0xc890de263b299a1bULL, 0x48cd084248818933ULL, 0xafa451abf47e6ad2ULL};
+    return {0x9c2f97ae0c124b19ULL, 0xecce906e14bbbdc8ULL, 0x7ac696e809672f34ULL,
+            0xcd4db41162a8d36cULL, 0xdd46bbb01a2ecd3dULL, 0x21ea88ea4d0d44c8ULL};
   }
   return {};
 }
@@ -147,11 +157,14 @@ struct LayerTotals {
   std::uint64_t ones_deployments = 0;
 };
 
+/// One pass's host times. All but `raw_sim_wall_s` and `latency` are
+/// normalized for the host's speed when the Bench calibrates.
 struct PassResult {
-  double setup_s = 0.0;      ///< host seconds before the first simulated event
-  double sim_wall_s = 0.0;   ///< sum of ClusterSimulation::run over the runs
-  std::uint64_t calls = 0;   ///< on_event calls
-  std::uint64_t decision_ns = 0;
+  double setup_s = 0.0;         ///< host seconds before the first simulated event
+  double sim_wall_s = 0.0;      ///< sum of ClusterSimulation::run over the runs
+  double raw_sim_wall_s = 0.0;  ///< sim_wall_s as measured
+  double decision_s = 0.0;      ///< host seconds inside on_event
+  LatencyHistogram latency;     ///< every on_event call of the pass's runs, as measured
   bool failed = false;
 };
 
@@ -168,18 +181,40 @@ struct LiveRun {
 
 class Bench {
  public:
-  Bench(Workload workload, std::uint64_t seed)
+  /// With `calibrate`, every host time is scaled by the host's speed
+  /// (HostSpeed) measured just before and just after it.
+  Bench(Workload workload, std::uint64_t seed, bool calibrate)
       : workload_(std::move(workload)), seed_(seed),
-        pinned_(pinned_digests(workload_.name)), reference_(workload_.runs.size()) {}
+        pinned_(pinned_digests(workload_.name)), reference_(workload_.runs.size()) {
+    if (calibrate) {
+      speed_ = std::make_unique<HostSpeed>();
+      calibration_ms_ = speed_->measure_ms();
+      calibrated_at_ = Clock::now();
+    }
+  }
+
+  /// Factor that normalizes a host time measured since the previous call:
+  /// HostSpeed::kReferenceMs over the geometric mean of the calibrations
+  /// at the interval's two ends. 1 when not calibrating.
+  double speed_factor() {
+    if (!speed_) return 1.0;
+    const double now_ms = speed_->measure_ms();
+    const double factor = HostSpeed::kReferenceMs / std::sqrt(calibration_ms_ * now_ms);
+    calibration_ms_ = now_ms;
+    calibrated_at_ = Clock::now();
+    return factor;
+  }
 
   /// Set up every run of the workload, then simulate them in order. With
   /// `layers` non-null the program's instruments are attached and per-layer
   /// observations are added to it.
-  PassResult pass(std::map<std::string, DecisionStats>& decisions, LayerTotals* layers) {
+  PassResult pass(LayerTotals* layers) {
     PassResult out;
+    Pending pending;
     const auto t0 = Clock::now();
     std::vector<LiveRun> live = set_up(layers);
-    out.setup_s = seconds_since(t0);
+    pending.setup_s = seconds_since(t0);
+    settle(out, pending, false);
 
     for (std::size_t i = 0; i < live.size(); ++i) {
       const RunDef& def = workload_.runs[i];
@@ -197,27 +232,28 @@ class Bench {
         wall = seconds_since(tr);
         if (failure.empty()) failure = check(i, *l.sim, *l.stats, l.sink.get());
       }
-      out.sim_wall_s += wall;
-      if (!failure.empty()) {
+      out.raw_sim_wall_s += wall;
+      pending.sim_wall_s += wall;
+      if (failure.empty()) {
+        const LatencyHistogram latency = l.stats->pooled();
+        out.latency.merge(latency);
+        pending.decision_s += static_cast<double>(latency.total_ns()) * 1e-9;
+        if (layers != nullptr) {
+          layers->by_policy[def.policy].merge(*l.stats);
+          layers->spans.add(*l.profiler);
+          layers->run_s += wall;
+          layers->events += l.sim->events_fired();
+          if (const auto* ones = dynamic_cast<const core::OnesScheduler*>(l.policy.get())) {
+            layers->evolution_rounds += ones->evolution_rounds();
+            layers->ones_deployments += l.stats->deployments();
+          }
+        }
+      } else {
         ++failed_;
         out.failed = true;
         std::printf("FAILED run %zu (%s): %s\n", i, def.policy.c_str(), failure.c_str());
-        continue;
       }
-      const LatencyHistogram all = l.stats->pooled();
-      out.calls += all.count();
-      out.decision_ns += all.total_ns();
-      decisions[def.policy].merge(*l.stats);
-      if (layers != nullptr) {
-        layers->by_policy[def.policy].merge(*l.stats);
-        layers->spans.add(*l.profiler);
-        layers->run_s += wall;
-        layers->events += l.sim->events_fired();
-        if (const auto* ones = dynamic_cast<const core::OnesScheduler*>(l.policy.get())) {
-          layers->evolution_rounds += ones->evolution_rounds();
-          layers->ones_deployments += l.stats->deployments();
-        }
-      }
+      settle(out, pending, i + 1 == live.size());
     }
     return out;
   }
@@ -229,10 +265,31 @@ class Bench {
     return seconds_since(t0);
   }
 
+  /// Keeps the calibration kernels' results observable.
+  std::uint64_t calibration_checksum() const { return speed_ ? speed_->checksum() : 0; }
   std::uint64_t attempted() const { return attempted_; }
   std::uint64_t failed() const { return failed_; }
 
  private:
+  /// Host times measured since the latest calibration, not yet normalized.
+  struct Pending {
+    double setup_s = 0.0;
+    double sim_wall_s = 0.0;
+    double decision_s = 0.0;
+  };
+
+  /// Normalizes `pending` by the host speed over its interval and adds it to
+  /// `out`. A calibration takes about 0.1 s, so it waits until the interval
+  /// holds a second of work, or until the pass's `last` run has ended.
+  void settle(PassResult& out, Pending& pending, bool last) {
+    if (speed_ && !last && seconds_since(calibrated_at_) < 1.0) return;
+    const double factor = speed_factor();
+    out.setup_s += pending.setup_s * factor;
+    out.sim_wall_s += pending.sim_wall_s * factor;
+    out.decision_s += pending.decision_s * factor;
+    pending = Pending{};
+  }
+
   /// Trace generation, policy construction (DRL trains here) and simulation
   /// construction for every run; a run whose set-up throws keeps the error.
   std::vector<LiveRun> set_up(LayerTotals* layers) const {
@@ -321,6 +378,9 @@ class Bench {
   std::vector<std::uint64_t> pinned_;
   /// First untraced pass's digest per run: with and without events fired.
   std::vector<std::optional<std::pair<std::uint64_t, std::uint64_t>>> reference_;
+  std::unique_ptr<HostSpeed> speed_;
+  double calibration_ms_ = 0.0;  ///< the latest calibration
+  Clock::time_point calibrated_at_;
   std::uint64_t attempted_ = 0;
   std::uint64_t failed_ = 0;
 };
@@ -543,37 +603,48 @@ int main(int argc, char** argv) {
   print_fingerprint();
   std::fflush(stdout);
 
-  Bench bench(std::move(workload), opt.seed);
-  std::map<std::string, DecisionStats> decisions;
-  std::vector<double> setup, sim_wall, decision_mean, traced_wall;
+  // Untraced runs report host times normalized for the host's speed (see
+  // Bench). Traced runs do not calibrate; their per-layer metrics are raw.
+  Bench bench(std::move(workload), opt.seed, !opt.trace);
+  std::vector<double> setup, sim_wall, decision_mean, decision_p99, traced_wall;
+  LatencyHistogram pooled;
   LayerTotals layers;
   if (!opt.trace) {
-    // Set-up is short next to a pass; repeat it alone (at least 5 times and
-    // for about a second) so its median rests on many samples.
+    // Set-up is short next to a pass; repeat it alone for about a second
+    // (at least 5 times) so its median rests on many samples.
+    std::vector<double> raw;
     const auto setup_start = Clock::now();
-    while (setup.size() < 5 ||
-           (seconds_since(setup_start) < 1.0 && setup.size() < 1000)) {
-      setup.push_back(bench.setup_only());
+    while (raw.size() < 5 || seconds_since(setup_start) < 1.0) {
+      raw.push_back(bench.setup_only());
     }
+    const double factor = bench.speed_factor();
+    for (const double s : raw) setup.push_back(s * factor);
+    std::printf("set-up alone: %zu samples, median %.6f s, host speed factor %.4f\n",
+                raw.size(), median(raw), factor);
   }
   // Passes continue while the next one is expected to end within --seconds.
   const auto measure_start = Clock::now();
   int passes = 0;
   do {
-    const PassResult p = bench.pass(decisions, nullptr);
+    const PassResult p = bench.pass(nullptr);
     ++passes;
+    const LatencyHistogram& h = p.latency;
+    // The p99 call is scaled by the pass's time-weighted speed factor.
+    const double factor = p.raw_sim_wall_s > 0.0 ? p.sim_wall_s / p.raw_sim_wall_s : 1.0;
     setup.push_back(p.setup_s);
     sim_wall.push_back(p.sim_wall_s);
-    if (p.calls > 0) {
-      decision_mean.push_back(static_cast<double>(p.decision_ns) * 1e-3 /
-                              static_cast<double>(p.calls));
+    if (h.count() > 0) {
+      decision_mean.push_back(p.decision_s * 1e6 / static_cast<double>(h.count()));
+      decision_p99.push_back(h.quantile_ns(0.99) * 1e-3 * factor);
     }
-    std::printf("pass %d: setup %.6f s, sim %.6f s, %llu decisions%s\n", passes, p.setup_s,
-                p.sim_wall_s, static_cast<unsigned long long>(p.calls),
-                p.failed ? " (FAILED)" : "");
+    pooled.merge(h);
+    std::printf("pass %d: setup %.6f s, sim %.6f s (measured %.6f s), %llu decisions, "
+                "p99 %.3f us measured (%llu beyond)%s\n",
+                passes, p.setup_s, p.sim_wall_s, p.raw_sim_wall_s,
+                static_cast<unsigned long long>(h.count()), h.quantile_ns(0.99) * 1e-3,
+                static_cast<unsigned long long>(h.beyond(0.99)), p.failed ? " (FAILED)" : "");
     if (opt.trace) {
-      std::map<std::string, DecisionStats> traced_decisions;
-      const PassResult t = bench.pass(traced_decisions, &layers);
+      const PassResult t = bench.pass(&layers);
       traced_wall.push_back(t.sim_wall_s);
       std::printf("pass %d traced: sim %.6f s%s\n", passes, t.sim_wall_s,
                   t.failed ? " (FAILED)" : "");
@@ -587,16 +658,14 @@ int main(int argc, char** argv) {
     metrics = layer_metrics(layers, static_cast<double>(passes), median(sim_wall),
                             median(traced_wall));
   } else {
-    LatencyHistogram pooled;
-    for (const auto& [policy, stats] : decisions) pooled.merge(stats.pooled());
-    const double p99_us = pooled.quantile_ns(0.99) * 1e-3;
-    std::printf("decision_p99_us %.3f over %llu calls (%llu beyond)\n", p99_us,
+    std::printf("measured decision p99 %.3f us over all %llu calls (%llu beyond)\n",
+                pooled.quantile_ns(0.99) * 1e-3,
                 static_cast<unsigned long long>(pooled.count()),
                 static_cast<unsigned long long>(pooled.beyond(0.99)));
     metrics = {
         {"sim_wall_s", median(sim_wall), "s"},
         {"decision_mean_us", median(decision_mean), "us"},
-        {"decision_p99_us", p99_us, "us"},
+        {"decision_p99_us", median(decision_p99), "us"},
         {"setup_s", median(setup), "s"},
         {"peak_rss_mib", common::peak_rss_mib(), "MiB"},
         // 1 + the share of runs that failed their check: 1.0 when none did
@@ -605,6 +674,10 @@ int main(int argc, char** argv) {
          1.0 + static_cast<double>(bench.failed()) / static_cast<double>(bench.attempted()),
          "1_plus_share"},
     };
+  }
+  if (!opt.trace) {
+    std::printf("calibration checksum %llu\n",
+                static_cast<unsigned long long>(bench.calibration_checksum()));
   }
   print_result(correct, bench.attempted(), bench.failed(), metrics);
   return 0;
