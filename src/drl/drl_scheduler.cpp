@@ -50,7 +50,7 @@ std::vector<DrlScheduler::Action> DrlScheduler::enumerate_actions(
   std::vector<Action> actions;
   const int free = assignment.idle_count();
   if (free == 0) return actions;
-  for (const sched::JobView* job : state.jobs) {
+  for (const sched::JobView* job : state.jobs()) {
     if (job->status != sched::JobStatus::Waiting) continue;
     if (assignment.gpu_count(job->spec.id) > 0) continue;  // placed this round
     const int min_w = static_cast<int>(

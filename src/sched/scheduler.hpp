@@ -102,15 +102,6 @@ struct ClusterState {
   double now = 0.0;
   const cluster::Topology* topology = nullptr;
   const cluster::Assignment* current = nullptr;
-  /// All submitted jobs (any status), indexed by JobId order of arrival.
-  std::vector<const JobView*> jobs;
-  /// Optional driver-maintained indexes (incremental scheduler state,
-  /// DESIGN.md §12). `active_index` holds the non-Completed subset of `jobs`
-  /// in the same arrival order; `id_index` holds all of `jobs` sorted by
-  /// JobId. When null (hand-built states in tests), every helper falls back
-  /// to scanning `jobs`, with identical results.
-  const std::vector<const JobView*>* active_index = nullptr;
-  const std::vector<const JobView*>* id_index = nullptr;
   const ThroughputOracle* oracle = nullptr;
   /// The driver's power model (DESIGN.md §10) — the same instance the
   /// EnergyMeter bills with, so energy-aware policies (ONES's lambda_energy
@@ -122,10 +113,28 @@ struct ClusterState {
   /// schedulers must predict from the epoch logs instead.
   std::function<double(JobId, int)> true_remaining_samples;
 
+  /// All submitted jobs (any status), in arrival order.
+  const std::vector<const JobView*>& jobs() const { return jobs_; }
+  /// The non-Completed subset of jobs(), in the same order.
+  const std::vector<const JobView*>& active_jobs() const { return active_; }
+  /// Binary search of the JobId index; null for a job never admitted.
   const JobView* job(JobId id) const;
   std::vector<const JobView*> waiting_jobs() const;
   std::vector<const JobView*> running_jobs() const;
-  std::vector<const JobView*> active_jobs() const;  ///< waiting + running
+
+  /// The job lists above are incremental scheduler state (DESIGN.md §12),
+  /// written only here: a job enters every list once at submission and
+  /// leaves the active list once when it completes.
+  void admit(const JobView& job);
+  void retire(const JobView& job);
+  /// Recompute the active list and the JobId index from jobs() and throw on
+  /// divergence (SimulationConfig::audit_incremental).
+  void audit_indexes() const;
+
+ private:
+  std::vector<const JobView*> jobs_;
+  std::vector<const JobView*> active_;
+  std::vector<const JobView*> by_id_;  ///< all of jobs_, sorted by JobId
 };
 
 class Scheduler {

@@ -102,9 +102,11 @@ class ClusterSimulation {
   double now() const { return engine_.now(); }
   /// Number of Assignments the scheduler deployed (schedule churn).
   std::uint64_t deployments() const { return deployments_; }
-  /// Total simulator events fired (the engine's counter): the deterministic
-  /// work measure behind the hyperscale throughput curve (DESIGN.md §12).
-  std::uint64_t events_fired() const { return engine_.fired(); }
+  /// Total simulator events fired: the deterministic work measure behind the
+  /// hyperscale throughput curve (DESIGN.md §12). Leaves out the engine
+  /// events that exist only to stamp elastic_resumed trace records, so
+  /// tracing never changes it.
+  std::uint64_t events_fired() const { return engine_.fired() - trace_only_events_; }
 
  private:
   struct JobRuntime {
@@ -142,8 +144,6 @@ class ClusterSimulation {
   void recover_job(JobId job, double now);
   /// Backoff expiry: a Recovering job rejoins the queue.
   void on_retry_event(JobId job);
-  /// Abort a job whose restart budget is exhausted.
-  void abort_recovery(JobId job, double now);
   /// Stop fault injection once the whole trace has completed.
   void maybe_halt_faults();
   void notify(EventKind kind, JobId job);
@@ -151,11 +151,23 @@ class ClusterSimulation {
   void validate(const cluster::Assignment& next) const;
 
   void accrue(JobId job, double now);
-  void start_job(JobId job, const cluster::Assignment& next, double now);
+  // Job transitions. Each reads the job's new placement from current_ and
+  // its old one from its JobView, which matches current_ for every Running
+  // job between transitions (audit_state checks it).
+  void start_job(JobId job, double now);
   void stop_job(JobId job, double now);
-  void complete_job(JobId job, double now);
+  /// Resize a running job in place (a scheduler's redeployment or an elastic
+  /// shrink-on-failure): charge the mechanism's cost and emit the
+  /// elastic_paused bracket. Returns the cost.
+  double reconfigure_job(JobId job, double now);
+  /// The job leaves the system. `abort_detail` is null for a converged job;
+  /// otherwise it marks an abnormal ending and becomes the job_completed
+  /// detail ("" for a kill, "retries_exhausted" when recovery gave up).
+  void finish_job(JobId job, double now, const char* abort_detail);
   void schedule_epoch_event(JobId job);
-  double actual_tput(JobId job, const cluster::Assignment& assignment) const;
+  /// Cancel a pending engine event, if any, and clear its id.
+  void cancel(sim::EventId& event);
+  double actual_tput(JobId job) const;
   /// GPUs actually running a worker (down-but-idle GPUs are neither busy
   /// nor idle); equals total - idle with no faults in play.
   int busy_gpus() const;
@@ -172,8 +184,6 @@ class ClusterSimulation {
   /// SimulationConfig::audit_incremental: recompute every incremental index
   /// from first principles and throw on divergence.
   void audit_state() const;
-  /// Remove a job that just completed from the active-job index.
-  void drop_active(const JobView& view);
 
   SimulationConfig config_;
   std::vector<workload::JobSpec> trace_;
@@ -193,14 +203,13 @@ class ClusterSimulation {
   // ones-lint: unordered-ok(keyed lookup via runtime() only; every traversal goes through arrived_order_, which fixes iteration to arrival order)
   std::unordered_map<JobId, JobRuntime> runtimes_;
   std::vector<JobId> arrived_order_;
-  /// Persistent scheduler snapshot (DESIGN.md §12). `state_.jobs` grows at
-  /// arrival; `active_views_` (arrival order) also shrinks at completion and
-  /// `id_views_` keeps all views sorted by JobId. JobView pointers are
-  /// stable: runtimes_ is node-based and never erased from.
+  /// Persistent scheduler snapshot (DESIGN.md §12): jobs are admitted at
+  /// arrival and retired at completion. JobView pointers are stable:
+  /// runtimes_ is node-based and never erased from.
   ClusterState state_;
-  std::vector<const JobView*> active_views_;
-  std::vector<const JobView*> id_views_;
   std::size_t completed_count_ = 0;
+  /// Fired engine events that exist only for the trace (elastic_resumed).
+  std::uint64_t trace_only_events_ = 0;
   std::uint64_t deployments_ = 0;
   bool in_notify_ = false;
 

@@ -11,6 +11,7 @@
 #include "exp/cache.hpp"
 #include "exp/cli.hpp"
 #include "common/json.hpp"
+#include "core/ones_scheduler.hpp"
 #include "exp/orchestrator.hpp"
 #include "sched/fifo.hpp"
 #include "sched/tiresias.hpp"
@@ -408,7 +409,13 @@ TEST(ExpTracing, CacheServedRunsEmitNoTrace) {
 
 TEST(ExpTracing, TracingDoesNotChangeResults) {
   TempCacheDir trace_dir("ones_exp_trace_results");
-  const auto specs = tiny_grid();
+  auto specs = tiny_grid();
+  // ONES resizes jobs elastically, which is where a trace sink adds engine
+  // events of its own (elastic_resumed); events_fired must not count them.
+  RunSpec ones = tiny_spec();
+  ones.scheduler = "ONES";
+  ones.factory = [] { return std::make_unique<core::OnesScheduler>(); };
+  specs.push_back(std::move(ones));
   const auto plain = run_grid(specs, quiet_options(2));
   auto opt = quiet_options(2);
   opt.trace_dir = trace_dir.path();

@@ -4,6 +4,7 @@
 // or aborts with its lost work accounted (I10).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <tuple>
 #include <vector>
 
@@ -218,6 +219,53 @@ TEST(FaultSim, CheckpointSchedulersRestartAndAccountLostWork) {
   EXPECT_TRUE(sim.all_completed());
   EXPECT_GT(registry.counter("fault_job_restarts_total").value(), 0.0);
   EXPECT_GT(registry.counter("fault_lost_gpu_seconds_total").value(), 0.0);
+}
+
+/// Pairs each checkpoint-restart's redo cost with the job's productive time
+/// at the failure (exec time is frozen while the job waits to restart).
+class RestartProbe final : public trace::TraceSink {
+ public:
+  struct Restart {
+    double redo_s;
+    double exec_s;
+  };
+
+  void on_record(const trace::TraceRecord& r) override {
+    if (r.kind == trace::RecordKind::JobRecovered && r.detail == "restart") {
+      restarts_.push_back({r.cost_s, sim_->job_view(r.job).exec_time_s});
+    }
+  }
+  void attach(const sched::ClusterSimulation& sim) { sim_ = &sim; }
+  const std::vector<Restart>& restarts() const { return restarts_; }
+
+ private:
+  const sched::ClusterSimulation* sim_ = nullptr;
+  std::vector<Restart> restarts_;
+};
+
+// The redone work is the productive time since the last checkpoint:
+// exec mod checkpoint_interval_s, so always in [0, interval).
+TEST(FaultSim, RestartRedoesOnlyTheWorkSinceTheLastCheckpoint) {
+  sched::FifoScheduler s;
+  auto config = faulty_config(/*gpu_mtbf=*/1200.0);
+  config.fault.checkpoint_interval_s = 40.0;
+  RestartProbe probe;
+  config.trace_sink = &probe;
+  const auto trace = workload::generate_trace(small_trace_config());
+  sched::ClusterSimulation sim(config, trace, s);
+  probe.attach(sim);
+  sim.run();
+  EXPECT_TRUE(sim.all_completed());
+  ASSERT_FALSE(probe.restarts().empty());
+  const double interval = config.fault.checkpoint_interval_s;
+  bool past_a_checkpoint = false;
+  for (const auto& r : probe.restarts()) {
+    EXPECT_GE(r.redo_s, 0.0);
+    EXPECT_LT(r.redo_s, interval);
+    EXPECT_NEAR(r.redo_s, std::fmod(r.exec_s, interval), 1e-6);
+    if (r.exec_s > interval) past_a_checkpoint = true;
+  }
+  EXPECT_TRUE(past_a_checkpoint);
 }
 
 TEST(FaultSim, ExhaustedRetriesAbortTheJob) {

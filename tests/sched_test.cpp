@@ -428,5 +428,29 @@ TEST(Assignment, AuditAcceptsEveryMutationPattern) {
   EXPECT_EQ(a.global_batch(2), 8);
 }
 
+// ClusterState's job lists have exactly two writers, admit() and retire();
+// its audit catches a job whose status and list membership disagree.
+TEST(ClusterState, AdmitAndRetireKeepTheIndexesAudited) {
+  JobView a, b;
+  a.spec.id = 7;
+  b.spec.id = 3;
+  ClusterState s;
+  s.admit(a);
+  s.admit(b);
+  s.audit_indexes();
+  EXPECT_EQ(s.jobs(), (std::vector<const JobView*>{&a, &b}));  // arrival order
+  EXPECT_EQ(s.job(3), &b);
+  EXPECT_EQ(s.job(7), &a);
+  EXPECT_EQ(s.job(5), nullptr);
+  EXPECT_THROW(s.admit(a), std::logic_error);
+  a.status = JobStatus::Completed;
+  EXPECT_THROW(s.audit_indexes(), std::logic_error);  // completed, still active
+  s.retire(a);
+  s.audit_indexes();
+  EXPECT_EQ(s.active_jobs(), std::vector<const JobView*>{&b});
+  EXPECT_EQ(s.job(7), &a);  // completed jobs stay addressable by id
+  EXPECT_THROW(s.retire(a), std::logic_error);
+}
+
 }  // namespace
 }  // namespace ones::sched
