@@ -207,41 +207,6 @@ inline void paired_jcts(const std::vector<RunResult>& runs, std::size_t ones_ind
   }
 }
 
-/// The legacy serial scheduler set (light benches that probe scheduler
-/// internals or reuse instances deliberately). The DRL baseline is trained
-/// offline first.
-struct SchedulerSet {
-  std::unique_ptr<core::OnesScheduler> ones;
-  std::unique_ptr<drl::DrlScheduler> drl;
-  std::unique_ptr<sched::TiresiasScheduler> tiresias;
-  std::unique_ptr<sched::OptimusScheduler> optimus;
-  std::unique_ptr<sched::FifoScheduler> fifo;
-  std::unique_ptr<sched::SrtfOracleScheduler> srtf;
-
-  std::vector<sched::Scheduler*> paper_four() {
-    return {ones.get(), drl.get(), tiresias.get(), optimus.get()};
-  }
-  std::vector<sched::Scheduler*> all() {
-    return {ones.get(), drl.get(), tiresias.get(), optimus.get(), fifo.get(), srtf.get()};
-  }
-};
-
-inline SchedulerSet make_schedulers(bool train_drl = true) {
-  SchedulerSet s;
-  s.ones = std::make_unique<core::OnesScheduler>();
-  s.drl = std::make_unique<drl::DrlScheduler>();
-  if (train_drl) {
-    std::printf("[setup] training the DRL baseline policy offline...\n");
-    std::fflush(stdout);
-    s.drl->train();
-  }
-  s.tiresias = std::make_unique<sched::TiresiasScheduler>();
-  s.optimus = std::make_unique<sched::OptimusScheduler>();
-  s.fifo = std::make_unique<sched::FifoScheduler>();
-  s.srtf = std::make_unique<sched::SrtfOracleScheduler>();
-  return s;
-}
-
 inline void print_rule(char ch = '-', int width = 100) {
   for (int i = 0; i < width; ++i) std::putchar(ch);
   std::putchar('\n');

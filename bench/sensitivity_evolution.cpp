@@ -1,7 +1,6 @@
 // Sensitivity of ONES to its evolutionary-search hyper-parameters:
-// population size K (the paper suggests K = cluster size), mutation rate
-// theta, and evolution rounds per event. Run on a 16-GPU contended trace
-// to keep the sweep quick.
+// population size K (the paper suggests K = cluster size) and mutation rate
+// theta. Run on a 16-GPU contended trace to keep the sweep quick.
 #include <cstdio>
 
 #include "harness.hpp"
@@ -46,15 +45,6 @@ int main() {
     cfg.evolution.mutation_rate = theta;
     char label[32];
     std::snprintf(label, sizeof(label), "theta = %.2f", theta);
-    run_with(cfg, config, trace, label);
-  }
-
-  std::printf("\nEvolution rounds per event:\n");
-  for (int rounds : {1, 2, 4}) {
-    core::OnesConfig cfg;
-    cfg.evolution.rounds_per_event = rounds;
-    char label[32];
-    std::snprintf(label, sizeof(label), "rounds = %d", rounds);
     run_with(cfg, config, trace, label);
   }
 

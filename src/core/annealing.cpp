@@ -2,14 +2,11 @@
 
 #include <cmath>
 
-#include "common/expect.hpp"
-
 namespace ones::core {
 
 AnnealingScheduler::AnnealingScheduler(const AnnealingConfig& config)
     : config_(config),
-      predictor_(config.predictor),
-      limits_(config.policy),
+      policy_(config.policy, config.predictor, config.use_predictor),
       toolbox_([&] {
         EvolutionConfig c = config.operators;
         c.population_size = 1;  // unused; the toolbox only runs operators
@@ -18,60 +15,20 @@ AnnealingScheduler::AnnealingScheduler(const AnnealingConfig& config)
       rng_(config.operators.seed ^ 0x5AD0C0DEULL),
       temperature_(config.initial_temperature) {}
 
-bool AnnealingScheduler::update_condition(const sched::ClusterState& state,
-                                          const sched::SchedulerEvent& event) const {
-  if (event.kind == sched::EventKind::JobComplete ||
-      event.kind == sched::EventKind::JobArrival ||
-      event.kind == sched::EventKind::CapacityChange) {
-    return true;
-  }
-  if (state.current->idle_count() > 0 && !state.waiting_jobs().empty()) return true;
-  for (const sched::JobView* v : state.running_jobs()) {
-    auto it = epochs_at_deploy_.find(v->spec.id);
-    if (it != epochs_at_deploy_.end() && v->epochs_completed <= it->second) return false;
-  }
-  return true;
-}
-
 std::optional<cluster::Assignment> AnnealingScheduler::on_event(
     const sched::ClusterState& state, const sched::SchedulerEvent& event) {
-  // Same policy bookkeeping as ONES (§3.3.2).
-  switch (event.kind) {
-    case sched::EventKind::JobArrival:
-      limits_.on_job_arrival(*state.job(event.job), state.now);
-      break;
-    case sched::EventKind::EpochComplete:
-      limits_.on_epoch_complete(*state.job(event.job));
-      break;
-    case sched::EventKind::JobComplete: {
-      const auto* v = state.job(event.job);
-      if (config_.use_predictor && !v->aborted) predictor_.observe_completed_job(*v);
-      limits_.on_completed(event.job);
-      break;
-    }
-    case sched::EventKind::Timer:
-      break;
-    case sched::EventKind::CapacityChange:
-      break;  // the incumbent is re-copied from the live (masked) schedule
-  }
-
-  const EvolutionContext ctx =
-      make_context(state, config_.use_predictor ? &predictor_ : nullptr, &limits_);
+  policy_.observe(state, event);
+  const EvolutionContext ctx = policy_.context(state);
 
   // (Re)seed the walk from the live schedule, synchronized with reality.
-  if (!has_incumbent_ || incumbent_.num_gpus() != state.topology->total_gpus()) {
-    incumbent_ = *state.current;
-    has_incumbent_ = true;
-  } else {
-    incumbent_ = *state.current;
-  }
-  toolbox_.repair(incumbent_, ctx);
-  toolbox_.refresh(incumbent_, ctx);
+  cluster::Assignment incumbent = *state.current;
+  toolbox_.repair(incumbent, ctx);
+  toolbox_.refresh(incumbent, ctx);
 
   const RhoMap rho = toolbox_.mean_rho(ctx);
-  double best_score = toolbox_.score(incumbent_, ctx, rho);
-  cluster::Assignment best = incumbent_;
-  cluster::Assignment walker = incumbent_;
+  double best_score = toolbox_.score(incumbent, ctx, rho);
+  cluster::Assignment best = incumbent;
+  cluster::Assignment walker = std::move(incumbent);
   double walker_score = best_score;
 
   for (int i = 0; i < config_.proposals_per_event; ++i) {
@@ -95,26 +52,9 @@ std::optional<cluster::Assignment> AnnealingScheduler::on_event(
     temperature_ = std::max(config_.min_temperature, temperature_ * config_.cooling);
   }
 
-  if (!update_condition(state, event)) return std::nullopt;
+  if (!policy_.should_deploy(state, event)) return std::nullopt;
   if (best == *state.current) return std::nullopt;
-
-  for (JobId j : state.current->running_jobs()) {
-    if (best.gpu_count(j) == 0) {
-      const auto* v = state.job(j);
-      if (v != nullptr && v->status != sched::JobStatus::Completed) {
-        limits_.on_preempted(*v, state.current->global_batch(j));
-      }
-    }
-  }
-  for (const sched::JobView* v : state.waiting_jobs()) {
-    if (best.gpu_count(v->spec.id) == 0) limits_.on_left_waiting(*v);
-  }
-  epochs_at_deploy_.clear();
-  for (JobId j : best.running_jobs()) {
-    const auto* v = state.job(j);
-    ONES_EXPECT(v != nullptr);
-    epochs_at_deploy_.emplace(j, v->epochs_completed);
-  }
+  policy_.deployed(state, best);
   return best;
 }
 

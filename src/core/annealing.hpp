@@ -2,18 +2,16 @@
 //
 // §3.2 argues evolutionary search suits the scheduling problem better than
 // other approximate searches (simulated annealing, tabu, nearest-neighbor,
-// ant colony). This scheduler makes that claim testable: it shares ONES's
-// entire machinery — batch-limit policies, progress predictor, SRUF score,
-// the refresh/repair/fill operators — but replaces the population-based
-// evolution with single-solution Metropolis annealing whose neighborhood is
-// the *uniform mutation* operator. Compare with bench/search_strategies.
+// ant colony). This scheduler makes that claim testable: it holds the same
+// OnesPolicy front-end as ONES (batch-limit policies, progress predictor,
+// update condition) and runs the same SRUF score and refresh/repair/fill
+// operators, but replaces the population-based evolution with
+// single-solution Metropolis annealing whose neighborhood is the *uniform
+// mutation* operator. Compare with bench/search_strategies.
 #pragma once
 
-#include <unordered_map>
-
-#include "core/batch_policy.hpp"
 #include "core/evolution.hpp"
-#include "predict/progress_predictor.hpp"
+#include "core/ones_scheduler.hpp"
 #include "sched/scheduler.hpp"
 
 namespace ones::core {
@@ -47,21 +45,13 @@ class AnnealingScheduler : public sched::Scheduler {
   std::uint64_t accepted() const { return accepted_; }
 
  private:
-  bool update_condition(const sched::ClusterState& state,
-                        const sched::SchedulerEvent& event) const;
-
   AnnealingConfig config_;
-  predict::ProgressPredictor predictor_;
-  BatchLimitManager limits_;
+  OnesPolicy policy_;
   Evolution toolbox_;  ///< operator implementations (population unused)
   Rng rng_;
-  cluster::Assignment incumbent_;
-  bool has_incumbent_ = false;
   double temperature_;
   std::uint64_t proposals_ = 0;
   std::uint64_t accepted_ = 0;
-  // ones-lint: unordered-ok(find-by-JobId only (progress gate); rebuilt from running_jobs() order on each deploy)
-  std::unordered_map<JobId, int> epochs_at_deploy_;
 };
 
 }  // namespace ones::core

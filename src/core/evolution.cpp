@@ -25,6 +25,40 @@ double EvolutionContext::expected_remaining(const sched::JobView& job) const {
   return y;
 }
 
+namespace {
+
+/// Remove completed (or unknown) jobs from a candidate.
+void drop_finished(cluster::Assignment& candidate, const EvolutionContext& ctx) {
+  for (JobId j : candidate.running_jobs()) {
+    const sched::JobView* v = ctx.state->job(j);
+    if (v == nullptr || v->status == sched::JobStatus::Completed) {
+      candidate.evict(j);
+    }
+  }
+}
+
+/// Keep only the first `c` GPUs of `job`.
+void trim(cluster::Assignment& candidate, JobId job, int c) {
+  if (candidate.gpu_count(job) <= c) return;
+  const auto gpus = candidate.gpus_of(job);
+  for (std::size_t i = gpus.size(); i-- > static_cast<std::size_t>(c);) {
+    candidate.clear(gpus[i]);
+  }
+}
+
+/// Split global batch `b` evenly over the GPUs of `job`, remainder first.
+void split(cluster::Assignment& candidate, JobId job, int b) {
+  const auto gpus = candidate.gpus_of(job);
+  const int c = static_cast<int>(gpus.size());
+  const int base = b / c;
+  const int rem = b % c;
+  for (int i = 0; i < c; ++i) {
+    candidate.place(gpus[static_cast<std::size_t>(i)], job, base + (i < rem ? 1 : 0));
+  }
+}
+
+}  // namespace
+
 EvolutionContext make_context(const sched::ClusterState& state,
                               const predict::ProgressPredictor* predictor,
                               const BatchLimitManager* limits) {
@@ -47,9 +81,7 @@ int Evolution::start_batch(const sched::JobView& job, const EvolutionContext& ct
   return std::max(1, std::min(r, job.profile->max_local_batch));
 }
 
-double Evolution::remaining_samples(const sched::JobView& job, const EvolutionContext& ctx,
-                                    double rho) const {
-  (void)ctx;
+double Evolution::remaining_samples(const sched::JobView& job, double rho) {
   // One-epoch floor: a job that has processed nothing would otherwise have
   // Y_processed * (1/rho - 1) == 0 and be invisible to the objective.
   const double y_proc = std::max(job.samples_processed, job.dataset_size());
@@ -67,27 +99,15 @@ int Evolution::effective_limit(const sched::JobView& job,
   return std::max(r, 1);
 }
 
-RhoMap Evolution::sample_rho(const EvolutionContext& ctx) {
+RhoMap Evolution::draw_rho(const EvolutionContext& ctx, Rng* rng) const {
   RhoMap rho;
   for (const sched::JobView* j : ctx.state->active_jobs()) {
+    double r = 0.5;  // predictor ablation: uninformed midpoint
     if (ctx.predictor != nullptr) {
       const auto dist = ctx.predictor->predict(*j);
-      rho[j->spec.id] = std::clamp(dist.sample(rng_), 1e-3, 1.0 - 1e-3);
-    } else {
-      rho[j->spec.id] = 0.5;  // predictor ablation: uninformed midpoint
+      r = std::clamp(rng != nullptr ? dist.sample(*rng) : dist.mean(), 1e-3, 1.0 - 1e-3);
     }
-  }
-  return rho;
-}
-
-RhoMap Evolution::mean_rho(const EvolutionContext& ctx) const {
-  RhoMap rho;
-  for (const sched::JobView* j : ctx.state->active_jobs()) {
-    if (ctx.predictor != nullptr) {
-      rho[j->spec.id] = std::clamp(ctx.predictor->predict(*j).mean(), 1e-3, 1.0 - 1e-3);
-    } else {
-      rho[j->spec.id] = 0.5;
-    }
+    rho[j->spec.id] = r;
   }
   return rho;
 }
@@ -104,7 +124,7 @@ double Evolution::score(const cluster::Assignment& candidate, const EvolutionCon
     const double x = ctx.state->oracle->estimate_placed_sps(v, candidate);
     auto it = rho.find(j);
     const double r = it != rho.end() ? it->second : 0.5;
-    const double rem = remaining_samples(v, ctx, r);
+    const double rem = remaining_samples(v, r);
     total += rem * static_cast<double>(candidate.gpu_count(j)) / x;
     if (energy_aware) {
       // Predicted joules to finish under this placement, in TDP-GPU-second
@@ -140,38 +160,22 @@ double Evolution::score(const cluster::Assignment& candidate, const EvolutionCon
 
 void Evolution::clamp_job(cluster::Assignment& candidate, JobId job,
                           const EvolutionContext& ctx) {
-  auto gpus = candidate.gpus_of(job);
-  if (gpus.empty()) return;
+  const int c = candidate.gpu_count(job);
+  if (c == 0) return;
   const auto& v = ctx.view(job);
   const int r_limit = effective_limit(v, ctx);
-  const bool warm = ctx.limits->warmed_up(v);
 
-  int target_c = static_cast<int>(gpus.size());
-  if (!warm) target_c = 1;                       // Start policy: one GPU
-  target_c = std::min(target_c, r_limit);        // every worker needs a sample
-  target_c = std::max(target_c, 1);
-  while (static_cast<int>(gpus.size()) > target_c) {
-    candidate.clear(gpus.back());
-    gpus.pop_back();
-  }
+  // Start policy: one GPU until warmed up; every worker needs a sample.
+  const int target_c = std::max(1, std::min(ctx.limits->warmed_up(v) ? c : 1, r_limit));
+  trim(candidate, job, target_c);
 
   const int max_b = std::min(r_limit, target_c * v.profile->max_local_batch);
-  int b = std::clamp(candidate.global_batch(job), target_c, max_b);
   // Even re-split (repairs crossover children with lopsided inherited genes).
-  const int base = b / target_c;
-  const int rem = b % target_c;
-  for (int i = 0; i < target_c; ++i) {
-    candidate.place(gpus[static_cast<std::size_t>(i)], job, base + (i < rem ? 1 : 0));
-  }
+  split(candidate, job, std::clamp(candidate.global_batch(job), target_c, max_b));
 }
 
 void Evolution::repair(cluster::Assignment& candidate, const EvolutionContext& ctx) {
-  for (JobId j : candidate.running_jobs()) {
-    const sched::JobView* v = ctx.state->job(j);
-    if (v == nullptr || v->status == sched::JobStatus::Completed) {
-      candidate.evict(j);
-    }
-  }
+  drop_finished(candidate, ctx);
   for (JobId j : candidate.running_jobs()) {
     clamp_job(candidate, j, ctx);
   }
@@ -267,16 +271,9 @@ void Evolution::fill_idle(cluster::Assignment& candidate, const EvolutionContext
       }
       // Raise the batch toward the limit with the new worker count, then
       // re-split evenly (clamp_job also enforces memory limits).
-      auto gpus = candidate.gpus_of(act.job);
-      const int b2 = std::clamp(
-          std::min(r_limit, local * static_cast<int>(gpus.size())),
-          static_cast<int>(gpus.size()),
-          static_cast<int>(gpus.size()) * v.profile->max_local_batch);
-      const int base = b2 / static_cast<int>(gpus.size());
-      const int rem = b2 % static_cast<int>(gpus.size());
-      for (std::size_t i = 0; i < gpus.size(); ++i) {
-        candidate.place(gpus[i], act.job, base + (static_cast<int>(i) < rem ? 1 : 0));
-      }
+      split(candidate, act.job,
+            std::clamp(std::min(r_limit, local * target_c), target_c,
+                       target_c * v.profile->max_local_batch));
       clamp_job(candidate, act.job, ctx);
     }
   }
@@ -284,12 +281,7 @@ void Evolution::fill_idle(cluster::Assignment& candidate, const EvolutionContext
 
 void Evolution::refresh(cluster::Assignment& candidate, const EvolutionContext& ctx) {
   // (1) Clean up GPUs of completed (or unknown) jobs.
-  for (JobId j : candidate.running_jobs()) {
-    const sched::JobView* v = ctx.state->job(j);
-    if (v == nullptr || v->status == sched::JobStatus::Completed) {
-      candidate.evict(j);
-    }
-  }
+  drop_finished(candidate, ctx);
 
   // (2) Scale down any job whose batch exceeds its current limit R:
   //     drop to floor(R*c/B) GPUs and batch R (paper's rule), then clamp.
@@ -301,13 +293,8 @@ void Evolution::refresh(cluster::Assignment& candidate, const EvolutionContext& 
       const int c = candidate.gpu_count(j);
       const int target_c =
           std::max(1, static_cast<int>(static_cast<std::int64_t>(r_limit) * c / b));
-      auto gpus = candidate.gpus_of(j);
-      while (static_cast<int>(gpus.size()) > target_c) {
-        candidate.clear(gpus.back());
-        gpus.pop_back();
-      }
-      const int base = std::max(r_limit, target_c) / target_c;
-      for (std::size_t i = 0; i < gpus.size(); ++i) candidate.place(gpus[i], j, base);
+      trim(candidate, j, target_c);
+      split(candidate, j, target_c * (std::max(r_limit, target_c) / target_c));
     }
     clamp_job(candidate, j, ctx);
   }
@@ -336,9 +323,9 @@ void Evolution::refresh(cluster::Assignment& candidate, const EvolutionContext& 
       }
     }
     if (victim == kInvalidJob) break;
-    auto gpus = candidate.gpus_of(victim);
-    candidate.clear(gpus.back());
-    if (gpus.size() > 1) clamp_job(candidate, victim, ctx);
+    const int c = candidate.gpu_count(victim);
+    trim(candidate, victim, c - 1);
+    if (c > 1) clamp_job(candidate, victim, ctx);
   }
   {
     auto idle = candidate.idle_gpus();

@@ -37,8 +37,6 @@ struct EvolutionConfig {
   std::size_t population_size = 0;
   /// Mutation rate theta: per-job preemption probability.
   double mutation_rate = 0.2;
-  /// Evolution iterations executed per scheduler event.
-  int rounds_per_event = 1;
   // Operator ablation switches (all on = the paper's algorithm).
   bool use_crossover = true;
   bool use_mutation = true;
@@ -90,9 +88,6 @@ class Evolution {
  public:
   explicit Evolution(const EvolutionConfig& config);
 
-  /// Drop the population (used when the cluster size changes).
-  void reset() { population_.clear(); }
-
   /// Optional metrics registry (not owned; null — the default — disables
   /// instrumentation). `step` records the operator counters
   /// (`ones_crossovers_total`, `ones_mutations_total`, `ones_reorders_total`,
@@ -130,17 +125,16 @@ class Evolution {
   double score(const cluster::Assignment& candidate, const EvolutionContext& ctx,
                const RhoMap& rho) const;
   /// Algorithm 1, lines 1-3: one progress draw per active job.
-  RhoMap sample_rho(const EvolutionContext& ctx);
+  RhoMap sample_rho(const EvolutionContext& ctx) { return draw_rho(ctx, &rng_); }
 
   /// Deterministic rho at the distribution mean. Deployment decisions use
   /// this (stable incumbent-vs-challenger comparison); the stochastic draws
   /// drive exploration inside the evolution loop.
-  RhoMap mean_rho(const EvolutionContext& ctx) const;
+  RhoMap mean_rho(const EvolutionContext& ctx) const { return draw_rho(ctx, nullptr); }
 
   /// Predicted remaining workload Y_j (Eq. 7) with a one-epoch floor for
   /// cold jobs (Y_processed = 0 would otherwise make them weightless).
-  double remaining_samples(const sched::JobView& job, const EvolutionContext& ctx,
-                           double rho) const;
+  static double remaining_samples(const sched::JobView& job, double rho);
 
   /// Effective batch limit: the policy limit R further capped at twice the
   /// job's *live* batch — §3.3.2's "scaled within a limited range at each
@@ -149,6 +143,9 @@ class Evolution {
 
  private:
   std::size_t population_size(const EvolutionContext& ctx) const;
+  /// Progress fraction of every active job: drawn from `rng`, or the
+  /// distribution mean when `rng` is null (1/2 under the predictor ablation).
+  RhoMap draw_rho(const EvolutionContext& ctx, Rng* rng) const;
   /// Fill idle GPUs by probability sampling over resume / scale-up actions
   /// (Figure 7).
   void fill_idle(cluster::Assignment& candidate, const EvolutionContext& ctx);

@@ -4,14 +4,47 @@
 
 namespace ones::core {
 
-OnesScheduler::OnesScheduler(const OnesConfig& config)
-    : config_(config),
-      predictor_(config.predictor),
-      limits_(config.policy),
-      evolution_(config.evolution) {}
+OnesPolicy::OnesPolicy(const BatchPolicyConfig& policy,
+                       const predict::PredictorConfig& predictor, bool use_predictor)
+    : predictor_(predictor), limits_(policy), use_predictor_(use_predictor) {}
 
-bool OnesScheduler::update_condition(const sched::ClusterState& state,
-                                     const sched::SchedulerEvent& event) const {
+void OnesPolicy::observe(const sched::ClusterState& state,
+                         const sched::SchedulerEvent& event) {
+  switch (event.kind) {
+    case sched::EventKind::JobArrival: {
+      const sched::JobView* v = state.job(event.job);
+      ONES_EXPECT(v != nullptr);
+      limits_.on_job_arrival(*v, state.now);
+      break;
+    }
+    case sched::EventKind::EpochComplete: {
+      const sched::JobView* v = state.job(event.job);
+      ONES_EXPECT(v != nullptr);
+      limits_.on_epoch_complete(*v);
+      break;
+    }
+    case sched::EventKind::JobComplete: {
+      const sched::JobView* v = state.job(event.job);
+      ONES_EXPECT(v != nullptr);
+      // Aborted jobs never converged; their truncated histories would teach
+      // the predictor wrong totals (§2.1's abnormal-ending pitfall).
+      if (use_predictor_ && !v->aborted) predictor_.observe_completed_job(*v);
+      limits_.on_completed(event.job);
+      break;
+    }
+    case sched::EventKind::Timer:
+      break;
+    case sched::EventKind::CapacityChange:
+      break;  // no per-job bookkeeping; the search sees the new health map
+  }
+}
+
+EvolutionContext OnesPolicy::context(const sched::ClusterState& state) const {
+  return make_context(state, use_predictor_ ? &predictor_ : nullptr, &limits_);
+}
+
+bool OnesPolicy::should_deploy(const sched::ClusterState& state,
+                               const sched::SchedulerEvent& event) const {
   // Immediate response to workload changes: freed GPUs (completion) and new
   // jobs must not wait for the per-epoch pacing (§2.1's critique of
   // interval-based schedulers).
@@ -34,75 +67,12 @@ bool OnesScheduler::update_condition(const sched::ClusterState& state,
   return true;
 }
 
-void OnesScheduler::note_deployed(const sched::ClusterState& state,
-                                  const cluster::Assignment& next) {
-  epochs_at_deploy_.clear();
-  for (JobId j : next.running_jobs()) {
-    const sched::JobView* v = state.job(j);
-    ONES_EXPECT(v != nullptr);
-    epochs_at_deploy_.emplace(j, v->epochs_completed);
-  }
-}
-
-std::optional<cluster::Assignment> OnesScheduler::on_event(
-    const sched::ClusterState& state, const sched::SchedulerEvent& event) {
-  // Bookkeeping for the policy state machines (§3.3.2) and the predictor.
-  switch (event.kind) {
-    case sched::EventKind::JobArrival: {
-      const sched::JobView* v = state.job(event.job);
-      ONES_EXPECT(v != nullptr);
-      limits_.on_job_arrival(*v, state.now);
-      break;
-    }
-    case sched::EventKind::EpochComplete: {
-      const sched::JobView* v = state.job(event.job);
-      ONES_EXPECT(v != nullptr);
-      limits_.on_epoch_complete(*v);
-      break;
-    }
-    case sched::EventKind::JobComplete: {
-      const sched::JobView* v = state.job(event.job);
-      ONES_EXPECT(v != nullptr);
-      // Aborted jobs never converged; their truncated histories would teach
-      // the predictor wrong totals (§2.1's abnormal-ending pitfall).
-      if (config_.use_predictor && !v->aborted) predictor_.observe_completed_job(*v);
-      limits_.on_completed(event.job);
-      break;
-    }
-    case sched::EventKind::Timer:
-      break;
-    case sched::EventKind::CapacityChange:
-      break;  // no per-job bookkeeping; the search sees the new health map
-  }
-
-  const EvolutionContext ctx = make_context(
-      state, config_.use_predictor ? &predictor_ : nullptr, &limits_);
-  for (int r = 0; r < config_.evolution.rounds_per_event; ++r) {
-    evolution_.step(ctx);
-    ++rounds_;
-  }
-  if (metrics_ != nullptr) {
-    metrics_->counter("ones_evolution_rounds_total")
-        .add(static_cast<double>(config_.evolution.rounds_per_event));
-  }
-  if (trace_sink_ != nullptr && config_.evolution.rounds_per_event > 0) {
-    trace_sink_->on_record({.kind = trace::RecordKind::EvolutionStep,
-                            .t = state.now,
-                            .count = rounds_,
-                            .detail = "+" +
-                                      std::to_string(config_.evolution.rounds_per_event) +
-                                      " rounds"});
-  }
-
-  if (!update_condition(state, event)) return std::nullopt;
-
-  cluster::Assignment best = evolution_.best(ctx);
-  if (best == *state.current) return std::nullopt;
-
-  // Resume / preemption policy bookkeeping against the schedule we are about
-  // to deploy.
+void OnesPolicy::deployed(const sched::ClusterState& state,
+                          const cluster::Assignment& next) {
+  // Resume / preemption policy bookkeeping against the schedule about to be
+  // deployed.
   for (JobId j : state.current->running_jobs()) {
-    if (best.gpu_count(j) == 0) {
+    if (next.gpu_count(j) == 0) {
       const sched::JobView* v = state.job(j);
       ONES_EXPECT(v != nullptr);
       if (v->status != sched::JobStatus::Completed) {
@@ -111,12 +81,42 @@ std::optional<cluster::Assignment> OnesScheduler::on_event(
     }
   }
   for (const sched::JobView* v : state.waiting_jobs()) {
-    if (best.gpu_count(v->spec.id) == 0) {
+    if (next.gpu_count(v->spec.id) == 0) {
       limits_.on_left_waiting(*v);  // asked for service, still waiting
     }
   }
 
-  note_deployed(state, best);
+  epochs_at_deploy_.clear();
+  for (JobId j : next.running_jobs()) {
+    const sched::JobView* v = state.job(j);
+    ONES_EXPECT(v != nullptr);
+    epochs_at_deploy_.emplace(j, v->epochs_completed);
+  }
+}
+
+OnesScheduler::OnesScheduler(const OnesConfig& config)
+    : policy_(config.policy, config.predictor, config.use_predictor),
+      evolution_(config.evolution) {}
+
+std::optional<cluster::Assignment> OnesScheduler::on_event(
+    const sched::ClusterState& state, const sched::SchedulerEvent& event) {
+  policy_.observe(state, event);
+  const EvolutionContext ctx = policy_.context(state);
+  evolution_.step(ctx);
+  ++rounds_;
+  if (metrics_ != nullptr) metrics_->counter("ones_evolution_rounds_total").add();
+  if (trace_sink_ != nullptr) {
+    // The detail keeps its per-event round count, pinned by the golden trace.
+    trace_sink_->on_record({.kind = trace::RecordKind::EvolutionStep,
+                            .t = state.now,
+                            .count = rounds_,
+                            .detail = "+1 rounds"});
+  }
+
+  if (!policy_.should_deploy(state, event)) return std::nullopt;
+  cluster::Assignment best = evolution_.best(ctx);
+  if (best == *state.current) return std::nullopt;
+  policy_.deployed(state, best);
   return best;
 }
 

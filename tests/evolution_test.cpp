@@ -7,6 +7,7 @@
 
 #include "core/batch_policy.hpp"
 #include "core/evolution.hpp"
+#include "core/ones_scheduler.hpp"
 #include "sched/oracle.hpp"
 
 namespace ones::core {
@@ -84,6 +85,56 @@ class Fixture {
   BatchLimitManager limits_;
   std::vector<std::unique_ptr<sched::JobView>> views_;
 };
+
+// ---------------- Shared policy front-end (update condition) ----------------
+
+bool deploys_on(const OnesPolicy& policy, const Fixture& f, sched::EventKind kind) {
+  return policy.should_deploy(f.state_, sched::SchedulerEvent{kind, 1});
+}
+
+TEST(OnesPolicy, EpochDeploysWaitUntilEveryRunningJobAdvances) {
+  Fixture f;
+  f.add_job(1, "ResNet18", 20000, sched::JobStatus::Running, 2);
+  f.add_job(2, "ResNet18", 20000, sched::JobStatus::Running, 3);
+  f.run_on(1, {0, 1, 2, 3}, 128);
+  f.run_on(2, {4, 5, 6, 7}, 128);
+  f.context();
+  OnesPolicy policy(BatchPolicyConfig{}, predict::PredictorConfig{}, true);
+  policy.deployed(f.state_, f.current_);
+
+  EXPECT_FALSE(deploys_on(policy, f, sched::EventKind::EpochComplete));
+  f.view(1).epochs_completed += 1;
+  EXPECT_FALSE(deploys_on(policy, f, sched::EventKind::EpochComplete));  // job 2 lags
+  f.view(2).epochs_completed += 1;
+  EXPECT_TRUE(deploys_on(policy, f, sched::EventKind::EpochComplete));
+
+  // A new deploy restarts the pacing from the current epoch counts.
+  policy.deployed(f.state_, f.current_);
+  EXPECT_FALSE(deploys_on(policy, f, sched::EventKind::EpochComplete));
+}
+
+TEST(OnesPolicy, WorkloadChangesAndIdleCapacityBypassPacing) {
+  Fixture f;
+  f.add_job(1, "ResNet18", 20000, sched::JobStatus::Running, 2);
+  f.run_on(1, {0, 1, 2, 3, 4, 5, 6, 7}, 256);
+  f.context();
+  OnesPolicy policy(BatchPolicyConfig{}, predict::PredictorConfig{}, true);
+  policy.deployed(f.state_, f.current_);
+
+  EXPECT_FALSE(deploys_on(policy, f, sched::EventKind::EpochComplete));
+  EXPECT_FALSE(deploys_on(policy, f, sched::EventKind::Timer));
+  EXPECT_TRUE(deploys_on(policy, f, sched::EventKind::JobArrival));
+  EXPECT_TRUE(deploys_on(policy, f, sched::EventKind::JobComplete));
+  EXPECT_TRUE(deploys_on(policy, f, sched::EventKind::CapacityChange));
+
+  // An idle GPU alone does not bypass the pacing...
+  f.current_.clear(7);
+  EXPECT_FALSE(deploys_on(policy, f, sched::EventKind::EpochComplete));
+  // ...but an idle GPU with a waiting job does.
+  f.add_job(2, "ResNet18", 20000, sched::JobStatus::Waiting);
+  f.context();
+  EXPECT_TRUE(deploys_on(policy, f, sched::EventKind::EpochComplete));
+}
 
 // ---------------- Batch limit policies ----------------
 

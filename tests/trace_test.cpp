@@ -5,10 +5,12 @@
 
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 
 #include "common/json.hpp"
+#include "core/annealing.hpp"
 #include "core/ones_scheduler.hpp"
 #include "elastic/protocol.hpp"
 #include "exp/run_spec.hpp"
@@ -101,8 +103,9 @@ TEST(Sinks, MultiSinkFansOut) {
   EXPECT_EQ(a.records()[0], b.records()[0]);
 }
 
-/// Run the quickstart ONES scenario (examples/quickstart.cpp) through `sink`.
-void run_quickstart_ones(TraceSink& sink) {
+/// Run the quickstart scenario (examples/quickstart.cpp: 4x4 GPUs, 24 jobs,
+/// 45 s mean inter-arrival, seed 7) under `scheduler` through `sink`.
+void run_quickstart(sched::Scheduler& scheduler, TraceSink& sink) {
   sched::SimulationConfig config;
   config.topology.num_nodes = 4;
   config.trace_sink = &sink;
@@ -111,10 +114,22 @@ void run_quickstart_ones(TraceSink& sink) {
   tc.mean_interarrival_s = 45.0;
   tc.seed = 7;
   const auto trace = workload::generate_trace(tc);
-  core::OnesScheduler scheduler;
   sched::ClusterSimulation sim(config, trace, scheduler);
   sim.run();
   ASSERT_TRUE(sim.all_completed());
+}
+
+void run_quickstart_ones(TraceSink& sink) {
+  core::OnesScheduler scheduler;
+  run_quickstart(scheduler, sink);
+}
+
+/// FNV-1a 64 digest of the quickstart JSONL stream under `scheduler`.
+std::uint64_t quickstart_digest(sched::Scheduler& scheduler) {
+  std::ostringstream out;
+  JsonlSink jsonl(out);
+  run_quickstart(scheduler, jsonl);
+  return exp::fnv1a64(out.str());
 }
 
 /// Golden FNV-1a 64 digest of the quickstart ONES JSONL stream. This pins
@@ -126,15 +141,77 @@ void run_quickstart_ones(TraceSink& sink) {
 constexpr std::uint64_t kQuickstartOnesDigest = 0xe2a2a72f2831eb90ULL;
 
 TEST(GoldenTrace, QuickstartOnesDigestIsPinned) {
-  std::ostringstream out;
-  JsonlSink jsonl(out);
-  run_quickstart_ones(jsonl);
-  const std::string bytes = out.str();
-  ASSERT_FALSE(bytes.empty());
-  EXPECT_EQ(exp::fnv1a64(bytes), kQuickstartOnesDigest)
-      << "quickstart ONES trace digest changed; new digest: 0x" << std::hex
-      << exp::fnv1a64(bytes);
+  core::OnesScheduler scheduler;
+  const std::uint64_t digest = quickstart_digest(scheduler);
+  EXPECT_EQ(digest, kQuickstartOnesDigest)
+      << "quickstart ONES trace digest changed; new digest: 0x" << std::hex << digest;
 }
+
+/// The ONES search variants that share its policy front-end and operators,
+/// each pinned on the same quickstart trace (same re-pin rules as above).
+struct GoldenVariant {
+  const char* name;
+  std::unique_ptr<sched::Scheduler> (*make)();
+  std::uint64_t digest;
+};
+
+std::unique_ptr<sched::Scheduler> make_ones(const core::OnesConfig& config) {
+  return std::make_unique<core::OnesScheduler>(config);
+}
+
+const GoldenVariant kGoldenVariants[] = {
+    {"NoCrossoverNoMutation",
+     [] {
+       core::OnesConfig c;
+       c.evolution.use_crossover = false;
+       c.evolution.use_mutation = false;
+       return make_ones(c);
+     },
+     0x0ab5c8168272fd38ULL},
+    {"NoReorder",
+     [] {
+       core::OnesConfig c;
+       c.evolution.use_reorder = false;
+       return make_ones(c);
+     },
+     0x652c36215f0d02c4ULL},
+    {"NoPredictor",
+     [] {
+       core::OnesConfig c;
+       c.use_predictor = false;
+       return make_ones(c);
+     },
+     0x359c11b63bb49d24ULL},
+    {"LambdaEnergy8",
+     [] {
+       core::OnesConfig c;
+       c.evolution.lambda_energy = 8.0;
+       return make_ones(c);
+     },
+     0x25a6ec2257fdf4c8ULL},
+    {"Annealing",
+     []() -> std::unique_ptr<sched::Scheduler> {
+       return std::make_unique<core::AnnealingScheduler>();
+     },
+     0x08b7ed130dcd98e9ULL},
+};
+
+void PrintTo(const GoldenVariant& variant, std::ostream* os) { *os << variant.name; }
+
+class GoldenTraceVariant : public ::testing::TestWithParam<GoldenVariant> {};
+
+TEST_P(GoldenTraceVariant, DigestIsPinned) {
+  const auto scheduler = GetParam().make();
+  const std::uint64_t digest = quickstart_digest(*scheduler);
+  EXPECT_EQ(digest, GetParam().digest)
+      << GetParam().name << " quickstart trace digest changed; new digest: 0x" << std::hex
+      << digest;
+}
+
+INSTANTIATE_TEST_SUITE_P(Quickstart, GoldenTraceVariant, ::testing::ValuesIn(kGoldenVariants),
+                         [](const ::testing::TestParamInfo<GoldenVariant>& variant_info) {
+                           return std::string(variant_info.param.name);
+                         });
 
 TEST(GoldenTrace, QuickstartStreamSurvivesJsonlRoundTripAndReplay) {
   RecordBufferSink buffer;
