@@ -66,6 +66,7 @@ void Assignment::attach(JobId job, GpuId gpu, int local_batch) {
         [](const JobStat& s, JobId j) { return s.job < j; });
     stat = &*jobs_.insert(it, JobStat{job, 0, {}});
   }
+  order_valid_ = false;
   stat->global_batch += local_batch;
   insert_sorted(stat->gpus, gpu);
 }
@@ -73,6 +74,7 @@ void Assignment::attach(JobId job, GpuId gpu, int local_batch) {
 void Assignment::detach(JobId job, GpuId gpu, int local_batch) {
   JobStat* stat = find_stat(job);
   ONES_EXPECT_MSG(stat != nullptr, "job index entry missing");
+  order_valid_ = false;
   stat->global_batch -= local_batch;
   erase_sorted(stat->gpus, gpu);
   if (stat->gpus.empty()) {
@@ -125,6 +127,7 @@ int Assignment::evict(JobId job) {
                      idle_.begin() + static_cast<std::ptrdiff_t>(old_idle),
                      idle_.end());
   jobs_.erase(jobs_.begin() + (stat - jobs_.data()));
+  order_valid_ = false;
   return freed;
 }
 
@@ -170,10 +173,42 @@ void Assignment::sync_health(const Assignment& from) {
   }
 }
 
-Assignment Assignment::empty_like(const Assignment& a) {
-  Assignment out(a.num_gpus());
-  for (const GpuId g : a.down_) out.set_health(g, a.health(g));
+Assignment Assignment::from_slots(std::vector<Slot> slots) {
+  Assignment out;
+  out.slots_ = std::move(slots);
+  JobStat* stat = nullptr;  // the previous slot's job: genomes keep workers adjacent
+  for (int g = 0; g < out.num_gpus(); ++g) {
+    const Slot& s = out.slots_[static_cast<std::size_t>(g)];
+    if (!s.healthy()) out.down_.push_back(g);
+    if (!s.occupied()) {
+      ONES_EXPECT_MSG(s.local_batch == 0, "idle slot carries a batch size");
+      if (s.healthy()) out.idle_.push_back(g);
+      continue;
+    }
+    ONES_EXPECT_MSG(s.local_batch >= 1, "a worker needs at least one sample per step");
+    ONES_EXPECT_MSG(s.healthy(), "cannot place a worker on a down GPU");
+    if (stat == nullptr || stat->job != s.job) stat = out.find_stat(s.job);
+    if (stat == nullptr) {
+      // First occurrence: the scan discovers jobs in running_jobs() order.
+      const auto it = std::lower_bound(
+          out.jobs_.begin(), out.jobs_.end(), s.job,
+          [](const JobStat& a, JobId j) { return a.job < j; });
+      stat = &*out.jobs_.insert(it, JobStat{s.job, 0, {}});
+      out.order_.push_back(s.job);
+    }
+    stat->global_batch += s.local_batch;
+    stat->gpus.push_back(g);  // g ascending: stays sorted
+  }
+  out.order_valid_ = true;
   return out;
+}
+
+Assignment Assignment::empty_like(const Assignment& a) {
+  std::vector<Slot> slots(a.slots_.size());
+  for (const GpuId g : a.down_) {
+    slots[static_cast<std::size_t>(g)].health = a.slots_[static_cast<std::size_t>(g)].health;
+  }
+  return from_slots(std::move(slots));
 }
 
 void Assignment::set_local_batch(GpuId gpu, int local_batch) {
@@ -195,28 +230,26 @@ int Assignment::gpu_count(JobId job) const {
   return stat != nullptr ? static_cast<int>(stat->gpus.size()) : 0;
 }
 
-std::vector<GpuId> Assignment::gpus_of(JobId job) const {
+std::span<const GpuId> Assignment::gpus_of(JobId job) const {
   const JobStat* stat = find_stat(job);
-  return stat != nullptr ? stat->gpus : std::vector<GpuId>{};
+  if (stat == nullptr) return {};
+  return stat->gpus;
 }
 
-std::vector<JobId> Assignment::running_jobs() const {
-  // First-occurrence order over the slot array == ascending order of each
-  // job's lowest-numbered GPU (two jobs cannot share a GPU).
-  std::vector<const JobStat*> by_front;
-  by_front.reserve(jobs_.size());
-  for (const JobStat& s : jobs_) by_front.push_back(&s);
-  std::sort(by_front.begin(), by_front.end(),
-            [](const JobStat* a, const JobStat* b) {
-              return a->gpus.front() < b->gpus.front();
-            });
-  std::vector<JobId> out;
-  out.reserve(by_front.size());
-  for (const JobStat* s : by_front) out.push_back(s->job);
-  return out;
+std::span<const JobId> Assignment::running_jobs() const {
+  if (!order_valid_) {
+    // First-occurrence order over the slot array == ascending order of each
+    // job's lowest-numbered GPU (two jobs cannot share a GPU).
+    std::vector<std::pair<GpuId, JobId>> by_front;
+    by_front.reserve(jobs_.size());
+    for (const JobStat& s : jobs_) by_front.emplace_back(s.gpus.front(), s.job);
+    std::sort(by_front.begin(), by_front.end());
+    order_.clear();
+    for (const auto& [front, job] : by_front) order_.push_back(job);
+    order_valid_ = true;
+  }
+  return order_;
 }
-
-std::vector<GpuId> Assignment::idle_gpus() const { return idle_; }
 
 int Assignment::idle_count() const { return static_cast<int>(idle_.size()); }
 
@@ -267,6 +300,7 @@ void Assignment::audit_indexes() const {
   std::vector<GpuId> idle;
   std::vector<GpuId> down;
   std::vector<JobStat> jobs;
+  std::vector<JobId> order;
   for (int g = 0; g < num_gpus(); ++g) {
     const Slot& s = slots_[static_cast<std::size_t>(g)];
     if (!s.healthy()) down.push_back(g);
@@ -279,6 +313,7 @@ void Assignment::audit_indexes() const {
         [](const JobStat& a, JobId j) { return a.job < j; });
     if (it == jobs.end() || it->job != s.job) {
       jobs.insert(it, JobStat{s.job, s.local_batch, {g}});
+      order.push_back(s.job);
     } else {
       it->global_batch += s.local_batch;
       it->gpus.push_back(g);  // g ascending: stays sorted
@@ -295,6 +330,9 @@ void Assignment::audit_indexes() const {
     ONES_EXPECT_MSG(jobs[i].gpus == jobs_[i].gpus,
                     "job index diverged: stale GPU list");
   }
+  if (order_valid_) {
+    ONES_EXPECT_MSG(order == order_, "running-job order cache diverged");
+  }
 }
 
 AssignmentDelta diff(const Assignment& prev, const Assignment& next) {
@@ -302,10 +340,10 @@ AssignmentDelta diff(const Assignment& prev, const Assignment& next) {
   AssignmentDelta d;
   // Membership tests against id-sorted copies; output order still comes from
   // running_jobs() (first-occurrence), exactly as before.
-  std::vector<JobId> prev_ids = prev.running_jobs();
-  std::vector<JobId> next_ids = next.running_jobs();
-  std::vector<JobId> prev_sorted = prev_ids;
-  std::vector<JobId> next_sorted = next_ids;
+  const auto prev_ids = prev.running_jobs();
+  const auto next_ids = next.running_jobs();
+  std::vector<JobId> prev_sorted(prev_ids.begin(), prev_ids.end());
+  std::vector<JobId> next_sorted(next_ids.begin(), next_ids.end());
   std::sort(prev_sorted.begin(), prev_sorted.end());
   std::sort(next_sorted.begin(), next_sorted.end());
 

@@ -13,9 +13,13 @@
 // loops, so O(G) rescans there are what made 10k-GPU clusters infeasible.
 // The indexes are flat sorted vectors — no unordered containers, so
 // iteration order is deterministic by construction (tools/ones_lint R2).
+// The list views (gpus_of, running_jobs, idle_gpus) are spans into those
+// indexes: valid until the next mutation, so a caller that mutates the
+// assignment while iterating one takes a copy first.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -83,6 +87,12 @@ class Assignment {
   /// genomes (the evolutionary population) against the live cluster.
   void sync_health(const Assignment& from);
 
+  /// Build an assignment from a whole slot array in one O(G) pass — the bulk
+  /// counterpart of one `place` per GPU, with the same preconditions: an
+  /// occupied slot has local_batch >= 1 and a healthy GPU, an idle slot
+  /// carries no batch. Throws std::logic_error otherwise.
+  static Assignment from_slots(std::vector<Slot> slots);
+
   /// An empty (all-idle) assignment with the same size and health map as
   /// `a` — the health-aware replacement for `Assignment(a.num_gpus())` when
   /// building candidate schedules from scratch.
@@ -94,13 +104,18 @@ class Assignment {
   int global_batch(JobId job) const;
   /// Number of GPUs c_j.
   int gpu_count(JobId job) const;
-  /// GPUs hosting workers of the job, in ascending GPU order.
-  std::vector<GpuId> gpus_of(JobId job) const;
-  /// Jobs with at least one worker, in first-occurrence order.
-  std::vector<JobId> running_jobs() const;
-  /// Healthy GPUs with no worker (down GPUs are never idle: schedulers read
-  /// capacity exclusively through this index, which is what masks them).
-  std::vector<GpuId> idle_gpus() const;
+  /// GPUs hosting workers of the job, in ascending GPU order (empty if the
+  /// job is not placed). Valid until the next mutation.
+  std::span<const GpuId> gpus_of(JobId job) const;
+  /// Jobs with at least one worker, in first-occurrence order. Computed at
+  /// most once per state (the order is cached until the next mutation, so
+  /// an Assignment is not safe to read from two threads at once). Valid
+  /// until the next mutation.
+  std::span<const JobId> running_jobs() const;
+  /// Healthy GPUs with no worker, ascending (down GPUs are never idle:
+  /// schedulers read capacity exclusively through this index, which is what
+  /// masks them). Valid until the next mutation.
+  std::span<const GpuId> idle_gpus() const { return idle_; }
   int idle_count() const;
 
   /// True iff `job` occupies the same GPUs with the same local batches in
@@ -150,6 +165,10 @@ class Assignment {
   std::vector<GpuId> idle_;     ///< ascending; healthy AND unoccupied only
   std::vector<GpuId> down_;     ///< ascending; health != Healthy
   std::vector<JobStat> jobs_;   ///< ascending by JobId
+  /// running_jobs() cache: jobs_ ordered by lowest GPU, valid while
+  /// `order_valid_`; attach/detach/evict invalidate it.
+  mutable std::vector<JobId> order_;
+  mutable bool order_valid_ = false;
 };
 
 /// Difference between two schedules, used to charge scaling costs only to

@@ -1,5 +1,6 @@
 #include "cluster/topology.hpp"
 
+#include <algorithm>
 #include <unordered_set>
 
 #include "common/expect.hpp"
@@ -27,15 +28,23 @@ std::vector<GpuId> Topology::gpus_of(NodeId node) const {
   return out;
 }
 
-int Topology::nodes_spanned(const std::vector<GpuId>& gpus) const {
+int Topology::nodes_spanned(std::span<const GpuId> gpus) const {
   std::unordered_set<NodeId> nodes;
   for (GpuId g : gpus) nodes.insert(node_of(g));
   return static_cast<int>(nodes.size());
 }
 
-LinkProfile Topology::link_profile(const std::vector<GpuId>& gpus) const {
+LinkProfile Topology::link_profile(std::span<const GpuId> gpus) const {
   ONES_EXPECT(!gpus.empty());
-  if (nodes_spanned(gpus) <= 1) {
+  // One node iff the lowest and highest node ids coincide; no set needed.
+  NodeId lo = node_of(gpus.front());
+  NodeId hi = lo;
+  for (const GpuId g : gpus) {
+    const NodeId n = node_of(g);
+    lo = std::min(lo, n);
+    hi = std::max(hi, n);
+  }
+  if (lo == hi) {
     return {config_.intra_node_bw_Bps, config_.intra_node_latency_s};
   }
   return {config_.inter_node_bw_Bps, config_.inter_node_latency_s};

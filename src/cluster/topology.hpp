@@ -8,6 +8,7 @@
 // pace of its weakest ring segment.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "common/ids.hpp"
@@ -44,11 +45,12 @@ class Topology {
   std::vector<GpuId> gpus_of(NodeId node) const;
 
   /// Number of distinct nodes touched by a worker set.
-  int nodes_spanned(const std::vector<GpuId>& gpus) const;
+  int nodes_spanned(std::span<const GpuId> gpus) const;
 
   /// Link profile of the slowest segment among the worker set: intra-node if
-  /// all workers share a node, otherwise the inter-node fabric.
-  LinkProfile link_profile(const std::vector<GpuId>& gpus) const;
+  /// all workers share a node, otherwise the inter-node fabric. The list
+  /// need not be sorted.
+  LinkProfile link_profile(std::span<const GpuId> gpus) const;
 
  private:
   TopologyConfig config_;

@@ -27,26 +27,37 @@ double EvolutionContext::expected_remaining(const sched::JobView& job) const {
 
 namespace {
 
+/// A copy of the candidate's job order, for loops that mutate the candidate
+/// (which invalidates the running_jobs() view).
+std::vector<JobId> running_copy(const cluster::Assignment& candidate) {
+  const auto jobs = candidate.running_jobs();
+  return {jobs.begin(), jobs.end()};
+}
+
 /// Remove completed (or unknown) jobs from a candidate.
 void drop_finished(cluster::Assignment& candidate, const EvolutionContext& ctx) {
+  std::vector<JobId> finished;
   for (JobId j : candidate.running_jobs()) {
     const sched::JobView* v = ctx.state->job(j);
-    if (v == nullptr || v->status == sched::JobStatus::Completed) {
-      candidate.evict(j);
-    }
+    if (v == nullptr || v->status == sched::JobStatus::Completed) finished.push_back(j);
   }
+  for (JobId j : finished) candidate.evict(j);
 }
 
 /// Keep only the first `c` GPUs of `job`.
 void trim(cluster::Assignment& candidate, JobId job, int c) {
   if (candidate.gpu_count(job) <= c) return;
-  const auto gpus = candidate.gpus_of(job);
+  const auto placed = candidate.gpus_of(job);
+  // A copy: clearing GPUs rewrites (or, at c == 0, drops) the job's list.
+  const std::vector<GpuId> gpus(placed.begin(), placed.end());
   for (std::size_t i = gpus.size(); i-- > static_cast<std::size_t>(c);) {
     candidate.clear(gpus[i]);
   }
 }
 
 /// Split global batch `b` evenly over the GPUs of `job`, remainder first.
+/// Re-placing the job's own GPUs changes only batches, so the GPU view
+/// stays valid throughout.
 void split(cluster::Assignment& candidate, JobId job, int b) {
   const auto gpus = candidate.gpus_of(job);
   const int c = static_cast<int>(gpus.size());
@@ -119,7 +130,8 @@ double Evolution::score(const cluster::Assignment& candidate, const EvolutionCon
   double total = 0.0;
   const bool energy_aware =
       config_.lambda_energy != 0.0 && ctx.state->power != nullptr;
-  for (JobId j : candidate.running_jobs()) {
+  const auto jobs = candidate.running_jobs();
+  for (JobId j : jobs) {
     const auto& v = ctx.view(j);
     const double x = ctx.state->oracle->estimate_placed_sps(v, candidate);
     auto it = rho.find(j);
@@ -143,7 +155,7 @@ double Evolution::score(const cluster::Assignment& candidate, const EvolutionCon
   // preempting running jobs is not free, so a challenger must beat the
   // incumbent by at least the cost of deploying it.
   const cluster::Assignment& live = *ctx.state->current;
-  for (JobId j : candidate.running_jobs()) {
+  for (JobId j : jobs) {
     const auto& v = ctx.view(j);
     if (v.status != sched::JobStatus::Running) continue;  // resume charged below
     if (!live.same_placement(candidate, j)) {
@@ -176,7 +188,7 @@ void Evolution::clamp_job(cluster::Assignment& candidate, JobId job,
 
 void Evolution::repair(cluster::Assignment& candidate, const EvolutionContext& ctx) {
   drop_finished(candidate, ctx);
-  for (JobId j : candidate.running_jobs()) {
+  for (JobId j : running_copy(candidate)) {
     clamp_job(candidate, j, ctx);
   }
 }
@@ -187,12 +199,16 @@ void Evolution::fill_idle(cluster::Assignment& candidate, const EvolutionContext
     JobId job = kInvalidJob;
   };
 
+  // Option buffers, reused across iterations. Each iteration places workers
+  // on the lowest idle GPUs, so `candidate.idle_gpus().front()` walks the
+  // same GPUs a snapshot of the idle list would.
+  std::vector<Action> actions;
+  std::vector<double> weights;
   for (;;) {
-    const auto idle = candidate.idle_gpus();
-    if (idle.empty()) return;
-
-    std::vector<Action> actions;
-    std::vector<double> weights;
+    const int idle = candidate.idle_count();
+    if (idle == 0) return;
+    actions.clear();
+    weights.clear();
 
     // Resume options: active jobs absent from this candidate start on one GPU.
     for (const sched::JobView* v : ctx.state->active_jobs()) {
@@ -205,7 +221,8 @@ void Evolution::fill_idle(cluster::Assignment& candidate, const EvolutionContext
     // Scale-up options: running jobs whose limit R still allows more batch,
     // gaining floor(R*c/B) - c more GPUs (Figure 7's utilization-gain
     // sampling).
-    for (JobId j : candidate.running_jobs()) {
+    const auto running = candidate.running_jobs();  // no mutation until the draw
+    for (JobId j : running) {
       const auto& v = ctx.view(j);
       if (!ctx.limits->warmed_up(v)) continue;
       const int r_limit = effective_limit(v, ctx);
@@ -213,8 +230,7 @@ void Evolution::fill_idle(cluster::Assignment& candidate, const EvolutionContext
       const int c = candidate.gpu_count(j);
       if (b >= r_limit) continue;
       const int local = std::max(1, b / c);
-      const int target_c =
-          std::min(static_cast<int>(r_limit / local), c + static_cast<int>(idle.size()));
+      const int target_c = std::min(static_cast<int>(r_limit / local), c + idle);
       if (target_c <= c) continue;
       const int b2 = std::min(r_limit, local * target_c);
 
@@ -231,12 +247,12 @@ void Evolution::fill_idle(cluster::Assignment& candidate, const EvolutionContext
     // Spread options: when batch limits bind, idle GPUs can still speed a
     // job up by spreading its (fixed) batch over more workers — idle GPUs
     // have no opportunity cost, and Eq. 4 wants the cluster saturated.
-    for (JobId j : candidate.running_jobs()) {
+    for (JobId j : running) {
       const auto& v = ctx.view(j);
       if (!ctx.limits->warmed_up(v)) continue;
       const int b = candidate.global_batch(j);
       const int c = candidate.gpu_count(j);
-      const int target_c = std::min({2 * c, b, c + static_cast<int>(idle.size())});
+      const int target_c = std::min({2 * c, b, c + idle});
       if (target_c <= c) continue;
       const double x1 = ctx.state->oracle->estimate_placed_sps(v, candidate);
       const double x2 = ctx.state->oracle->estimate_sps(
@@ -253,7 +269,7 @@ void Evolution::fill_idle(cluster::Assignment& candidate, const EvolutionContext
 
     if (act.resume) {
       const auto& v = ctx.view(act.job);
-      candidate.place(idle.front(), act.job, start_batch(v, ctx));
+      candidate.place(candidate.idle_gpus().front(), act.job, start_batch(v, ctx));
     } else {
       const auto& v = ctx.view(act.job);
       const int r_limit = effective_limit(v, ctx);
@@ -264,10 +280,10 @@ void Evolution::fill_idle(cluster::Assignment& candidate, const EvolutionContext
       // action) or up to 2x workers at the same batch (spread action) —
       // whichever the idle pool allows.
       const int grow_c = std::max(static_cast<int>(r_limit / local), std::min(2 * c, b));
-      const int target_c = std::min(grow_c, c + static_cast<int>(idle.size()));
+      const int target_c = std::min(grow_c, c + idle);
       if (target_c <= c) continue;
       for (int k = 0; k < target_c - c; ++k) {
-        candidate.place(idle[static_cast<std::size_t>(k)], act.job, 1);
+        candidate.place(candidate.idle_gpus().front(), act.job, 1);
       }
       // Raise the batch toward the limit with the new worker count, then
       // re-split evenly (clamp_job also enforces memory limits).
@@ -285,7 +301,7 @@ void Evolution::refresh(cluster::Assignment& candidate, const EvolutionContext& 
 
   // (2) Scale down any job whose batch exceeds its current limit R:
   //     drop to floor(R*c/B) GPUs and batch R (paper's rule), then clamp.
-  for (JobId j : candidate.running_jobs()) {
+  for (JobId j : running_copy(candidate)) {
     const auto& v = ctx.view(j);
     const int r_limit = effective_limit(v, ctx);
     const int b = candidate.global_batch(j);
@@ -327,13 +343,9 @@ void Evolution::refresh(cluster::Assignment& candidate, const EvolutionContext& 
     trim(candidate, victim, c - 1);
     if (c > 1) clamp_job(candidate, victim, ctx);
   }
-  {
-    auto idle = candidate.idle_gpus();
-    std::size_t next = 0;
-    for (const sched::JobView* v : fresh) {
-      if (next >= idle.size()) break;
-      candidate.place(idle[next++], v->spec.id, start_batch(*v, ctx));
-    }
+  for (const sched::JobView* v : fresh) {
+    if (candidate.idle_count() == 0) break;
+    candidate.place(candidate.idle_gpus().front(), v->spec.id, start_batch(*v, ctx));
   }
 
   // (4) Fill any remaining idle GPUs (Figure 7).
@@ -343,42 +355,48 @@ void Evolution::refresh(cluster::Assignment& candidate, const EvolutionContext& 
 std::pair<cluster::Assignment, cluster::Assignment> Evolution::crossover(
     const cluster::Assignment& a, const cluster::Assignment& b) {
   ONES_EXPECT(a.num_gpus() == b.num_gpus());
-  // Children inherit the parents' health map; the parents never occupy a
-  // down GPU, so neither inherited gene can land on one.
-  cluster::Assignment c1 = cluster::Assignment::empty_like(a);
-  cluster::Assignment c2 = cluster::Assignment::empty_like(a);
-  for (int g = 0; g < a.num_gpus(); ++g) {
-    const auto& sa = a.slot(g);
-    const auto& sb = b.slot(g);
+  // Children inherit `a`'s health map; the parents never occupy a down GPU,
+  // so neither inherited gene can land on one (from_slots checks).
+  const auto n = static_cast<std::size_t>(a.num_gpus());
+  std::vector<cluster::Slot> s1(n), s2(n);
+  for (std::size_t g = 0; g < n; ++g) {
+    const auto& sa = a.slot(static_cast<GpuId>(g));
+    const auto& sb = b.slot(static_cast<GpuId>(g));
     const bool flip = rng_.bernoulli(0.5);
     const auto& first = flip ? sb : sa;
     const auto& second = flip ? sa : sb;
-    if (first.occupied()) c1.place(g, first.job, first.local_batch);
-    if (second.occupied()) c2.place(g, second.job, second.local_batch);
+    s1[g] = {first.job, first.local_batch, sa.health};
+    s2[g] = {second.job, second.local_batch, sa.health};
   }
-  return {std::move(c1), std::move(c2)};
+  return {cluster::Assignment::from_slots(std::move(s1)),
+          cluster::Assignment::from_slots(std::move(s2))};
 }
 
 void Evolution::mutate(cluster::Assignment& candidate, const EvolutionContext& ctx) {
+  std::vector<JobId> preempted;
   for (JobId j : candidate.running_jobs()) {
-    if (rng_.bernoulli(config_.mutation_rate)) {
-      candidate.evict(j);
-    }
+    if (rng_.bernoulli(config_.mutation_rate)) preempted.push_back(j);
   }
+  for (JobId j : preempted) candidate.evict(j);
   fill_idle(candidate, ctx);
 }
 
 cluster::Assignment Evolution::reorder(const cluster::Assignment& candidate) {
-  cluster::Assignment packed = cluster::Assignment::empty_like(candidate);
-  int next = 0;
+  std::vector<cluster::Slot> packed(static_cast<std::size_t>(candidate.num_gpus()));
+  for (const GpuId g : candidate.unhealthy_gpus()) {
+    packed[static_cast<std::size_t>(g)].health = candidate.health(g);
+  }
+  std::size_t next = 0;
   for (JobId j : candidate.running_jobs()) {  // first-occurrence order
     for (GpuId g : candidate.gpus_of(j)) {
       // Pack onto the healthy GPUs in ascending order.
-      while (!packed.slot(next).healthy()) ++next;
-      packed.place(next++, j, candidate.slot(g).local_batch);
+      while (next < packed.size() && !packed[next].healthy()) ++next;
+      ONES_EXPECT_MSG(next < packed.size(), "more workers than healthy GPUs");
+      packed[next].job = j;
+      packed[next++].local_batch = candidate.slot(g).local_batch;
     }
   }
-  return packed;
+  return cluster::Assignment::from_slots(std::move(packed));
 }
 
 void Evolution::ensure_population(const EvolutionContext& ctx) {

@@ -76,12 +76,13 @@ struct EvolutionContext {
   double expected_remaining(const sched::JobView& job) const;
 };
 
-/// Build the lookup map for a state snapshot.
+/// Bind the per-event context to a state snapshot (the yrem cache starts
+/// empty).
 EvolutionContext make_context(const sched::ClusterState& state,
                               const predict::ProgressPredictor* predictor,
                               const BatchLimitManager* limits);
 
-// ones-lint: unordered-ok(rho draws are read back per-JobId in score(); every consumer iterates jobs via state->jobs, never this map)
+// ones-lint: unordered-ok(rho draws are read back per-JobId in score(); draw_rho fills it from active_jobs() and score() iterates the candidate's job order, so nothing iterates this map)
 using RhoMap = std::unordered_map<JobId, double>;
 
 class Evolution {

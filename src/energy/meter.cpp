@@ -55,7 +55,7 @@ void EnergyMeter::rescan(const cluster::Assignment& next) {
   for (JobId job : next.running_jobs()) {
     const model::TaskProfile* profile = profile_of_(job);
     ONES_EXPECT_MSG(profile != nullptr, "no task profile for a placed job");
-    const std::vector<GpuId> gpus = next.gpus_of(job);
+    const auto gpus = next.gpus_of(job);
     std::vector<int> batches;
     batches.reserve(gpus.size());
     for (GpuId g : gpus) batches.push_back(next.slot(g).local_batch);

@@ -6,6 +6,25 @@
 
 namespace ones::model {
 
+double step_time_shape_s(const TaskProfile& profile, int workers, int max_local_batch,
+                         const cluster::LinkProfile& link) {
+  ONES_EXPECT(workers >= 1);
+  ONES_EXPECT_MSG(max_local_batch >= 1, "every worker needs at least one sample");
+  const double c = static_cast<double>(workers);
+  // Launch-bound floor: shrinking the local batch below min_util_batch no
+  // longer shortens the step (the GPU is underutilized).
+  const int effective_b = std::max(max_local_batch, profile.min_util_batch);
+  const double compute =
+      profile.t_step_fixed_s + static_cast<double>(effective_b) * profile.t_sample_s;
+  double comm = 0.0;
+  if (workers > 1) {
+    ONES_EXPECT(link.bandwidth_Bps > 0.0);
+    comm = 2.0 * (c - 1.0) / c * profile.params_bytes / link.bandwidth_Bps +
+           2.0 * (c - 1.0) * link.latency_s;
+  }
+  return compute + comm;
+}
+
 double step_time_s(const TaskProfile& profile, const std::vector<int>& local_batches,
                    const cluster::LinkProfile& link) {
   ONES_EXPECT(!local_batches.empty());
@@ -14,19 +33,7 @@ double step_time_s(const TaskProfile& profile, const std::vector<int>& local_bat
     ONES_EXPECT_MSG(b >= 1, "every worker needs at least one sample");
     max_b = std::max(max_b, b);
   }
-  const double c = static_cast<double>(local_batches.size());
-  // Launch-bound floor: shrinking the local batch below min_util_batch no
-  // longer shortens the step (the GPU is underutilized).
-  const int effective_b = std::max(max_b, profile.min_util_batch);
-  const double compute =
-      profile.t_step_fixed_s + static_cast<double>(effective_b) * profile.t_sample_s;
-  double comm = 0.0;
-  if (local_batches.size() > 1) {
-    ONES_EXPECT(link.bandwidth_Bps > 0.0);
-    comm = 2.0 * (c - 1.0) / c * profile.params_bytes / link.bandwidth_Bps +
-           2.0 * (c - 1.0) * link.latency_s;
-  }
-  return compute + comm;
+  return step_time_shape_s(profile, static_cast<int>(local_batches.size()), max_b, link);
 }
 
 std::vector<int> even_split(int global_batch, int workers) {
@@ -40,7 +47,10 @@ std::vector<int> even_split(int global_batch, int workers) {
 
 double step_time_even_s(const TaskProfile& profile, int global_batch, int workers,
                         const cluster::LinkProfile& link) {
-  return step_time_s(profile, even_split(global_batch, workers), link);
+  ONES_EXPECT(workers >= 1);
+  ONES_EXPECT_MSG(global_batch >= workers, "cannot give every worker a sample");
+  const int largest = global_batch / workers + (global_batch % workers != 0 ? 1 : 0);
+  return step_time_shape_s(profile, workers, largest, link);
 }
 
 double throughput_sps(const TaskProfile& profile, const std::vector<int>& local_batches,

@@ -22,13 +22,20 @@
 
 namespace ones::model {
 
-/// Step time for an explicit per-worker batch vector. `link` is the slowest
-/// link among the worker set (see Topology::link_profile).
+/// Step time of `workers` GPUs whose largest local batch is
+/// `max_local_batch`: the formula above depends on the batch vector only
+/// through c and max_i(b_i). Every other step-time and throughput function
+/// delegates here. `link` is the slowest link among the worker set (see
+/// Topology::link_profile).
+double step_time_shape_s(const TaskProfile& profile, int workers, int max_local_batch,
+                         const cluster::LinkProfile& link);
+
+/// Step time for an explicit per-worker batch vector.
 double step_time_s(const TaskProfile& profile, const std::vector<int>& local_batches,
                    const cluster::LinkProfile& link);
 
 /// Step time when the global batch B is split as evenly as possible over c
-/// workers.
+/// workers (the largest share is ceil(B / c)).
 double step_time_even_s(const TaskProfile& profile, int global_batch, int workers,
                         const cluster::LinkProfile& link);
 

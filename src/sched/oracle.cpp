@@ -1,5 +1,6 @@
 #include "sched/oracle.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/expect.hpp"
@@ -45,13 +46,17 @@ double ThroughputOracle::estimate_placed_sps(const JobView& job,
   ONES_EXPECT(job.profile != nullptr);
   const auto gpus = assignment.gpus_of(job.spec.id);
   ONES_EXPECT_MSG(!gpus.empty(), "job has no workers in this assignment");
-  std::vector<int> batches;
-  batches.reserve(gpus.size());
-  for (GpuId g : gpus) batches.push_back(assignment.slot(g).local_batch);
-  const cluster::LinkProfile link = topology_.link_profile(gpus);
-  const double x = model::throughput_sps(*job.profile, batches, link);
-  return x * noise_factor(job.spec.id, static_cast<int>(gpus.size()),
-                          assignment.global_batch(job.spec.id));
+  int total = 0;
+  int largest = 0;
+  for (const GpuId g : gpus) {
+    const int b = assignment.slot(g).local_batch;
+    total += b;
+    largest = std::max(largest, b);
+  }
+  const int c = static_cast<int>(gpus.size());
+  const double step =
+      model::step_time_shape_s(*job.profile, c, largest, topology_.link_profile(gpus));
+  return static_cast<double>(total) / step * noise_factor(job.spec.id, c, total);
 }
 
 }  // namespace ones::sched

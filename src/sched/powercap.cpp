@@ -23,7 +23,7 @@ double assignment_watts(const cluster::Assignment& assignment,
     const JobView* job = state.job(id);
     ONES_EXPECT_MSG(job != nullptr && job->profile != nullptr,
                     "assignment references an unknown job");
-    const std::vector<GpuId> gpus = assignment.gpus_of(id);
+    const auto gpus = assignment.gpus_of(id);
     std::vector<int> batches;
     batches.reserve(gpus.size());
     for (GpuId g : gpus) batches.push_back(assignment.slot(g).local_batch);

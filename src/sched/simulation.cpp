@@ -484,7 +484,9 @@ void ClusterSimulation::recover_job(JobId job, double now) {
   auto& rt = runtime(job);
   ONES_EXPECT(rt.view.status == JobStatus::Running);
   accrue(job, now);  // progress up to the instant of the failure
-  const auto gpus = current_.gpus_of(job);
+  // A copy: both recovery paths below mutate the job's placement.
+  const auto placed = current_.gpus_of(job);
+  const std::vector<GpuId> gpus(placed.begin(), placed.end());
   std::vector<GpuId> survivors, lost;
   for (const GpuId g : gpus) {
     (current_.slot(g).healthy() ? survivors : lost).push_back(g);

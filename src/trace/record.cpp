@@ -128,7 +128,7 @@ std::vector<TraceRecord> parse_jsonl(std::string_view text) {
   return records;
 }
 
-std::string format_gpu_list(const std::vector<GpuId>& gpus) {
+std::string format_gpu_list(std::span<const GpuId> gpus) {
   std::string out;
   for (std::size_t i = 0; i < gpus.size(); ++i) {
     if (i > 0) out.push_back(',');

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -82,7 +83,7 @@ TraceRecord record_from_jsonl_line(std::string_view line);
 std::vector<TraceRecord> parse_jsonl(std::string_view text);
 
 /// GPU list payload of placement records: "0,1,5" <-> {0, 1, 5}.
-std::string format_gpu_list(const std::vector<GpuId>& gpus);
+std::string format_gpu_list(std::span<const GpuId> gpus);
 std::vector<GpuId> parse_gpu_list(const std::string& detail);
 
 }  // namespace ones::trace

@@ -2,11 +2,22 @@
 // invariants (Eq. 4 style), and schedule diffing.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <span>
+#include <stdexcept>
+#include <vector>
+
 #include "cluster/assignment.hpp"
 #include "cluster/topology.hpp"
+#include "common/rng.hpp"
 
 namespace ones::cluster {
 namespace {
+
+template <typename T>
+std::vector<T> as_vector(std::span<const T> view) {
+  return {view.begin(), view.end()};
+}
 
 TopologyConfig small_config() {
   TopologyConfig c;
@@ -39,15 +50,15 @@ TEST(Topology, GpusOfNode) {
 
 TEST(Topology, NodesSpanned) {
   Topology t(small_config());
-  EXPECT_EQ(t.nodes_spanned({0, 1, 2}), 1);
-  EXPECT_EQ(t.nodes_spanned({0, 4}), 2);
-  EXPECT_EQ(t.nodes_spanned({0, 5, 10, 15}), 4);
+  EXPECT_EQ(t.nodes_spanned(std::vector<GpuId>{0, 1, 2}), 1);
+  EXPECT_EQ(t.nodes_spanned(std::vector<GpuId>{0, 4}), 2);
+  EXPECT_EQ(t.nodes_spanned(std::vector<GpuId>{0, 5, 10, 15}), 4);
 }
 
 TEST(Topology, LinkProfileSelectsSlowestSegment) {
   Topology t(small_config());
-  const auto intra = t.link_profile({0, 1});
-  const auto inter = t.link_profile({0, 4});
+  const auto intra = t.link_profile(std::vector<GpuId>{0, 1});
+  const auto inter = t.link_profile(std::vector<GpuId>{0, 4});
   EXPECT_GT(intra.bandwidth_Bps, inter.bandwidth_Bps);
   EXPECT_LT(intra.latency_s, inter.latency_s);
   EXPECT_DOUBLE_EQ(intra.bandwidth_Bps, small_config().intra_node_bw_Bps);
@@ -71,8 +82,8 @@ TEST(Assignment, PlaceAndDerivedViews) {
   EXPECT_EQ(a.gpu_count(1), 2);
   EXPECT_EQ(a.global_batch(2), 32);
   EXPECT_EQ(a.gpu_count(2), 1);
-  EXPECT_EQ(a.gpus_of(1), (std::vector<GpuId>{0, 1}));
-  EXPECT_EQ(a.running_jobs(), (std::vector<JobId>{1, 2}));
+  EXPECT_EQ(as_vector(a.gpus_of(1)), (std::vector<GpuId>{0, 1}));
+  EXPECT_EQ(as_vector(a.running_jobs()), (std::vector<JobId>{1, 2}));
   EXPECT_EQ(a.idle_count(), 5);
 }
 
@@ -124,7 +135,7 @@ TEST(Assignment, RunningJobsFirstOccurrenceOrder) {
   a.place(1, 3, 8);
   a.place(2, 7, 8);
   a.place(3, 5, 8);
-  EXPECT_EQ(a.running_jobs(), (std::vector<JobId>{7, 3, 5}));
+  EXPECT_EQ(as_vector(a.running_jobs()), (std::vector<JobId>{7, 3, 5}));
 }
 
 TEST(Assignment, EqualityAndToString) {
@@ -141,6 +152,67 @@ TEST(Assignment, CheckInvariantsPasses) {
   Assignment a(4);
   a.place(0, 1, 16);
   EXPECT_NO_THROW(a.check_invariants());
+}
+
+TEST(Assignment, FromSlotsMatchesPlaceByPlaceConstruction) {
+  Rng rng(17);
+  for (int trial = 0; trial < 50; ++trial) {
+    const int n = static_cast<int>(rng.uniform_int(1, 40));
+    std::vector<Slot> slots(static_cast<std::size_t>(n));
+    Assignment placed(n);
+    for (int g = 0; g < n; ++g) {
+      Slot& s = slots[static_cast<std::size_t>(g)];
+      const std::int64_t roll = rng.uniform_int(0, 9);
+      if (roll == 0) {
+        s.health = SlotHealth::Failed;
+      } else if (roll == 1) {
+        s.health = SlotHealth::Reclaimed;
+      } else if (roll < 7) {
+        s.job = static_cast<JobId>(rng.uniform_int(0, 5));
+        s.local_batch = static_cast<int>(rng.uniform_int(1, 64));
+        placed.place(g, s.job, s.local_batch);
+      }
+      if (!s.healthy()) placed.set_health(g, s.health);
+    }
+    const Assignment bulk = Assignment::from_slots(slots);
+    EXPECT_EQ(bulk, placed) << bulk.to_string() << " vs " << placed.to_string();
+    bulk.audit_indexes();
+    EXPECT_EQ(bulk.unhealthy_gpus(), placed.unhealthy_gpus());
+    EXPECT_EQ(as_vector(bulk.idle_gpus()), as_vector(placed.idle_gpus()));
+    EXPECT_EQ(as_vector(bulk.running_jobs()), as_vector(placed.running_jobs()));
+    for (JobId j = 0; j <= 5; ++j) {
+      EXPECT_EQ(as_vector(bulk.gpus_of(j)), as_vector(placed.gpus_of(j)));
+      EXPECT_EQ(bulk.global_batch(j), placed.global_batch(j));
+    }
+  }
+}
+
+TEST(Assignment, EmptyLikeKeepsTheHealthMap) {
+  Assignment a(6);
+  a.place(0, 1, 8);
+  a.set_health(2, SlotHealth::Failed);
+  a.set_health(4, SlotHealth::Reclaimed);
+  const Assignment e = Assignment::empty_like(a);
+  EXPECT_TRUE(e.running_jobs().empty());
+  EXPECT_EQ(e.health(2), SlotHealth::Failed);
+  EXPECT_EQ(e.health(4), SlotHealth::Reclaimed);
+  EXPECT_EQ(e.unhealthy_gpus(), (std::vector<GpuId>{2, 4}));
+  EXPECT_EQ(as_vector(e.idle_gpus()), (std::vector<GpuId>{0, 1, 3, 5}));
+  e.audit_indexes();
+}
+
+TEST(Assignment, FromSlotsRejectsWhatPlaceRejects) {
+  std::vector<Slot> down_worker(4);
+  down_worker[1] = Slot{3, 8, SlotHealth::Failed};
+  EXPECT_THROW(Assignment::from_slots(down_worker), std::logic_error);
+
+  std::vector<Slot> empty_worker(4);
+  empty_worker[2] = Slot{3, 0, SlotHealth::Healthy};
+  EXPECT_THROW(Assignment::from_slots(empty_worker), std::logic_error);
+
+  std::vector<Slot> idle_batch(4);
+  idle_batch[0] = Slot{kInvalidJob, 16, SlotHealth::Healthy};
+  EXPECT_THROW(Assignment::from_slots(idle_batch), std::logic_error);
 }
 
 TEST(AssignmentDiff, ClassifiesChanges) {

@@ -157,7 +157,7 @@ TEST(Protocol, ElasticBlockedMatchesCostModelScale) {
                          [&](const ScalingReport& r) { report = r; });
   session.start();
   engine.run();
-  const double model_cost = m.elastic_cost_s(p, 2, 4, topo.link_profile({0, 1, 2, 3}));
+  const double model_cost = m.elastic_cost_s(p, 2, 4, topo.link_profile(std::vector<GpuId>{0, 1, 2, 3}));
   EXPECT_LT(std::abs(report.blocked_s - model_cost), 1.0);
 }
 
@@ -241,7 +241,7 @@ TEST(ProtocolWorkerLoss, LossDuringBroadcastRestartsFromReconnect) {
   const auto topo = small_topology();
   const auto& p = model::profile_by_name("ResNet50");
   const double bcast =
-      p.params_bytes / topo.link_profile({0, 1, 2, 3}).bandwidth_Bps;
+      p.params_bytes / topo.link_profile(std::vector<GpuId>{0, 1, 2, 3}).bandwidth_Bps;
   const double when = clean.resumed_at - 0.5 * bcast;
   const auto report = lossy_run(grow_request(), /*lost=*/3, when,
                                 ScalingSession::SessionPhase::Receiving);

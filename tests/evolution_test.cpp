@@ -4,6 +4,8 @@
 
 #include <memory>
 #include <set>
+#include <span>
+#include <vector>
 
 #include "core/batch_policy.hpp"
 #include "core/evolution.hpp"
@@ -12,6 +14,11 @@
 
 namespace ones::core {
 namespace {
+
+template <typename T>
+std::vector<T> as_vector(std::span<const T> view) {
+  return {view.begin(), view.end()};
+}
 
 // Builds a fake ClusterState with controllable jobs, for exercising the
 // evolution operators without a full simulation.
@@ -337,8 +344,8 @@ TEST(Evolution, ReorderPacksWorkersContiguously) {
   scattered.place(5, 1, 32);
   scattered.place(7, 2, 16);
   const auto packed = Evolution::reorder(scattered);
-  EXPECT_EQ(packed.gpus_of(1), (std::vector<GpuId>{0, 1}));
-  EXPECT_EQ(packed.gpus_of(2), (std::vector<GpuId>{2, 3}));
+  EXPECT_EQ(as_vector(packed.gpus_of(1)), (std::vector<GpuId>{0, 1}));
+  EXPECT_EQ(as_vector(packed.gpus_of(2)), (std::vector<GpuId>{2, 3}));
   EXPECT_EQ(packed.global_batch(1), 64);
   EXPECT_EQ(packed.global_batch(2), 32);
 }

@@ -3,6 +3,7 @@
 // baselines.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
 #include <memory>
@@ -10,6 +11,8 @@
 #include <vector>
 
 #include "core/ones_scheduler.hpp"
+#include "model/throughput.hpp"
+#include "reference_evolution.hpp"
 #include "drl/drl_scheduler.hpp"
 #include "sched/fifo.hpp"
 #include "sched/optimus.hpp"
@@ -79,6 +82,70 @@ TEST(Oracle, CanColocateMatchesNodeSize) {
   ThroughputOracle oracle(topo);
   EXPECT_TRUE(oracle.can_colocate(4));
   EXPECT_FALSE(oracle.can_colocate(5));
+}
+
+// The allocation-free oracle (one pass over the job's slots, the even
+// split's largest share computed as ceil(B / c), a min/max node test for the
+// link) must reproduce the vector-based formula bit for bit — every ONES
+// decision rests on comparing these doubles.
+TEST(Oracle, EstimatesAreBitIdenticalToTheVectorFormula) {
+  cluster::TopologyConfig tc;
+  tc.num_nodes = 4;
+  tc.gpus_per_node = 8;
+  const cluster::Topology topo(tc);
+  for (const double sigma : {0.0, 0.1}) {
+    OracleConfig oc;
+    oc.noise_sigma = sigma;
+    const ThroughputOracle oracle(topo, oc);
+    const ones::testing::ReferenceOracle ref(topo, oc);
+    JobId id = 0;
+    for (const auto& profile : model::builtin_profiles()) {
+      JobView v = make_view(++id, profile.name.c_str(), 10000);
+      for (int c = 1; c <= 8; ++c) {
+        // GPU sets: packed inside node 1, strided across nodes, and split
+        // over nodes 0 and 1.
+        std::vector<std::vector<GpuId>> sets(3);
+        for (int i = 0; i < c; ++i) {
+          sets[0].push_back(8 + i);
+          sets[1].push_back((i * 9) % topo.total_gpus());
+          sets[2].push_back(4 + i);
+        }
+        for (auto& gpus : sets) {
+          std::sort(gpus.begin(), gpus.end());
+          const int unit = std::min(profile.b_ref, profile.max_local_batch) / 2 + 1;
+          // Even splits with and without a remainder, and a lopsided split.
+          std::vector<std::vector<int>> splits = {
+              model::even_split(unit * c, c), model::even_split(unit * c + c / 2, c),
+              std::vector<int>(static_cast<std::size_t>(c), 1)};
+          splits[2][0] = 3 * unit;
+          for (const auto& batches : splits) {
+            cluster::Assignment a(topo.total_gpus());
+            for (std::size_t i = 0; i < gpus.size(); ++i) {
+              a.place(gpus[i], v.spec.id, batches[i]);
+            }
+            EXPECT_EQ(oracle.estimate_placed_sps(v, a), ref.estimate_placed_sps(v, a))
+                << profile.name << " c=" << c;
+            const cluster::LinkProfile link = topo.link_profile(gpus);
+            EXPECT_EQ(model::step_time_s(profile, batches, link),
+                      ones::testing::ref_step_time_s(profile, batches, link));
+            const int b = a.global_batch(v.spec.id);
+            for (const bool colocated : {true, false}) {
+              EXPECT_EQ(oracle.estimate_sps(v, c, b, colocated),
+                        ref.estimate_sps(v, c, b, colocated))
+                  << profile.name << " c=" << c << " B=" << b;
+            }
+          }
+          // link_profile accepts unsorted worker lists.
+          std::vector<GpuId> unsorted(gpus.rbegin(), gpus.rend());
+          if (unsorted.size() > 2) std::swap(unsorted[0], unsorted[unsorted.size() / 2]);
+          const cluster::LinkProfile got = topo.link_profile(unsorted);
+          const cluster::LinkProfile want = ones::testing::ref_link_profile(topo, unsorted);
+          EXPECT_EQ(got.bandwidth_Bps, want.bandwidth_Bps);
+          EXPECT_EQ(got.latency_s, want.latency_s);
+        }
+      }
+    }
+  }
 }
 
 TEST(Placement, PrefersSingleNodeBestFit) {
