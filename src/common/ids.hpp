@@ -6,6 +6,9 @@
 namespace ones {
 
 /// Identifies a submitted job; assigned sequentially by the workload trace.
+/// Dense: a simulated trace of N jobs uses exactly the ids 0..N-1 (the
+/// simulation driver checks this), so per-job tables are vectors indexed by
+/// JobId.
 using JobId = std::int64_t;
 inline constexpr JobId kInvalidJob = -1;
 

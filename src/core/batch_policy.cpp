@@ -21,10 +21,19 @@ int BatchLimitManager::cap_limit(const sched::JobView& job) const {
                   static_cast<int>(config_.r_cap_multiple * job.profile->b_crit));
 }
 
+std::size_t BatchLimitManager::limited(const sched::JobView& job, const char* no_limit) const {
+  const auto id = static_cast<std::size_t>(job.spec.id);  // negative ids wrap out of range
+  ONES_EXPECT_MSG(id < limits_.size() && limits_[id] > 0, no_limit);
+  return id;
+}
+
 void BatchLimitManager::on_job_arrival(const sched::JobView& job, double now) {
+  ONES_EXPECT_MSG(job.spec.id >= 0, "negative job id");
+  const auto id = static_cast<std::size_t>(job.spec.id);
+  if (id >= limits_.size()) limits_.resize(id + 1, 0);
   // Start: must fit on one GPU.
   const int r = std::min(job.profile->b_ref, job.profile->max_local_batch);
-  limits_[job.spec.id] = std::max(r, 1);
+  limits_[id] = std::max(r, 1);
 
   if (first_arrival_ < 0.0) first_arrival_ = now;
   last_arrival_ = now;
@@ -39,40 +48,36 @@ double BatchLimitManager::arrival_rate() const {
 }
 
 void BatchLimitManager::on_epoch_complete(const sched::JobView& job) {
-  auto it = limits_.find(job.spec.id);
-  ONES_EXPECT_MSG(it != limits_.end(), "epoch for a job with no batch limit");
+  int& r = limits_[limited(job, "epoch for a job with no batch limit")];
   // Combined scale-up / scale-down rule: R' = ceil(2R / (floor(sigma*T)+1)).
   // Young jobs (sigma*T < 1) double; jobs older than 1/sigma grow slower and
   // eventually shrink (Convoy Effect control). See BatchPolicyConfig for why
   // the denominator uses floor rather than the paper's ceil.
   const double denom = std::floor(sigma() * job.exec_time_s) + 1.0;
-  const double r_new = std::ceil(2.0 * static_cast<double>(it->second) / denom);
-  it->second = std::clamp(static_cast<int>(r_new), floor_limit(job), cap_limit(job));
+  const double r_new = std::ceil(2.0 * static_cast<double>(r) / denom);
+  r = std::clamp(static_cast<int>(r_new), floor_limit(job), cap_limit(job));
 }
 
 void BatchLimitManager::on_left_waiting(const sched::JobView& job) {
-  auto it = limits_.find(job.spec.id);
-  ONES_EXPECT_MSG(it != limits_.end(), "waiting job with no batch limit");
-  it->second = std::max(it->second / 2, floor_limit(job));
+  int& r = limits_[limited(job, "waiting job with no batch limit")];
+  r = std::max(r / 2, floor_limit(job));
 }
 
 void BatchLimitManager::on_preempted(const sched::JobView& job, int batch_before) {
-  auto it = limits_.find(job.spec.id);
-  ONES_EXPECT_MSG(it != limits_.end(), "preempted job with no batch limit");
+  int& r = limits_[limited(job, "preempted job with no batch limit")];
   // Resume: the job may request at most what it had before preemption.
-  if (batch_before >= 1) it->second = std::min(it->second, batch_before);
-  it->second = std::max(it->second, floor_limit(job));
+  if (batch_before >= 1) r = std::min(r, batch_before);
+  r = std::max(r, floor_limit(job));
 }
 
-void BatchLimitManager::on_completed(JobId job) { limits_.erase(job); }
+void BatchLimitManager::on_completed(JobId job) {
+  const auto id = static_cast<std::size_t>(job);  // negative ids wrap out of range
+  if (id < limits_.size()) limits_[id] = 0;
+}
 
 int BatchLimitManager::limit(const sched::JobView& job) const {
-  auto it = limits_.find(job.spec.id);
-  ONES_EXPECT_MSG(it != limits_.end(), "job with no batch limit");
-  if (!warmed_up(job)) {
-    return std::min(it->second, job.profile->max_local_batch);
-  }
-  return it->second;
+  const int r = limits_[limited(job, "job with no batch limit")];
+  return warmed_up(job) ? r : std::min(r, job.profile->max_local_batch);
 }
 
 bool BatchLimitManager::warmed_up(const sched::JobView& job) const {

@@ -16,7 +16,7 @@
 //                with sigma = lambda, the average job arrival rate.
 #pragma once
 
-#include <unordered_map>
+#include <vector>
 
 #include "cluster/assignment.hpp"
 #include "common/ids.hpp"
@@ -83,10 +83,11 @@ class BatchLimitManager {
  private:
   int floor_limit(const sched::JobView& job) const;
   int cap_limit(const sched::JobView& job) const;
+  /// Index of `job`'s limit in limits_; throws `no_limit` unless it has one.
+  std::size_t limited(const sched::JobView& job, const char* no_limit) const;
 
   BatchPolicyConfig config_;
-  // ones-lint: unordered-ok(per-job batch limit, find/erase by JobId only, never iterated)
-  std::unordered_map<JobId, int> limits_;
+  std::vector<int> limits_;  ///< R_j by JobId; 0 = none (not arrived, or completed)
   double first_arrival_ = -1.0;
   double last_arrival_ = -1.0;
   std::size_t arrivals_ = 0;

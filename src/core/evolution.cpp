@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <optional>
 
@@ -17,11 +18,11 @@ const sched::JobView& EvolutionContext::view(JobId job) const {
 }
 
 double EvolutionContext::expected_remaining(const sched::JobView& job) const {
-  auto it = yrem_cache.find(job.spec.id);
-  if (it != yrem_cache.end()) return it->second;
-  const double y = predictor != nullptr ? predictor->expected_remaining_samples(job)
-                                        : job.dataset_size();
-  yrem_cache.emplace(job.spec.id, y);
+  double& y = yrem_cache[static_cast<std::size_t>(job.spec.id)];
+  if (std::isnan(y)) {
+    y = predictor != nullptr ? predictor->expected_remaining_samples(job)
+                             : job.dataset_size();
+  }
   return y;
 }
 
@@ -77,6 +78,7 @@ EvolutionContext make_context(const sched::ClusterState& state,
   ctx.state = &state;
   ctx.predictor = predictor;
   ctx.limits = limits;
+  ctx.yrem_cache.assign(state.id_bound(), std::numeric_limits<double>::quiet_NaN());
   return ctx;
 }
 
@@ -111,14 +113,14 @@ int Evolution::effective_limit(const sched::JobView& job,
 }
 
 RhoMap Evolution::draw_rho(const EvolutionContext& ctx, Rng* rng) const {
-  RhoMap rho;
+  RhoMap rho(ctx.state->id_bound(), 0.5);
   for (const sched::JobView* j : ctx.state->active_jobs()) {
     double r = 0.5;  // predictor ablation: uninformed midpoint
     if (ctx.predictor != nullptr) {
       const auto dist = ctx.predictor->predict(*j);
       r = std::clamp(rng != nullptr ? dist.sample(*rng) : dist.mean(), 1e-3, 1.0 - 1e-3);
     }
-    rho[j->spec.id] = r;
+    rho[static_cast<std::size_t>(j->spec.id)] = r;
   }
   return rho;
 }
@@ -134,9 +136,7 @@ double Evolution::score(const cluster::Assignment& candidate, const EvolutionCon
   for (JobId j : jobs) {
     const auto& v = ctx.view(j);
     const double x = ctx.state->oracle->estimate_placed_sps(v, candidate);
-    auto it = rho.find(j);
-    const double r = it != rho.end() ? it->second : 0.5;
-    const double rem = remaining_samples(v, r);
+    const double rem = remaining_samples(v, rho[static_cast<std::size_t>(j)]);
     total += rem * static_cast<double>(candidate.gpu_count(j)) / x;
     if (energy_aware) {
       // Predicted joules to finish under this placement, in TDP-GPU-second

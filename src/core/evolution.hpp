@@ -17,7 +17,6 @@
 //      K survive.
 #pragma once
 
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -65,10 +64,9 @@ struct EvolutionContext {
   /// nullptr = predictor ablation (constant rho = 1/2).
   const predict::ProgressPredictor* predictor = nullptr;
   const BatchLimitManager* limits = nullptr;
-  /// Lazily-filled cache of expected remaining workloads (the predictor's
-  /// Beta math is too costly to repeat per fill-loop iteration).
-  // ones-lint: unordered-ok(memo keyed by JobId; values are order-independent pure functions of the job)
-  mutable std::unordered_map<JobId, double> yrem_cache;
+  /// Lazily-filled expected remaining workloads by JobId, NaN until computed
+  /// (the predictor's Beta math is too costly to repeat per fill-loop step).
+  mutable std::vector<double> yrem_cache;
 
   const sched::JobView& view(JobId job) const;
   /// Expected remaining samples of a job (predictor mean, or one dataset
@@ -76,14 +74,13 @@ struct EvolutionContext {
   double expected_remaining(const sched::JobView& job) const;
 };
 
-/// Bind the per-event context to a state snapshot (the yrem cache starts
-/// empty).
+/// Bind the per-event context to a state snapshot (yrem cache all NaN).
 EvolutionContext make_context(const sched::ClusterState& state,
                               const predict::ProgressPredictor* predictor,
                               const BatchLimitManager* limits);
 
-// ones-lint: unordered-ok(rho draws are read back per-JobId in score(); draw_rho fills it from active_jobs() and score() iterates the candidate's job order, so nothing iterates this map)
-using RhoMap = std::unordered_map<JobId, double>;
+/// Progress fraction rho indexed by JobId over id_bound(); 1/2 without a draw.
+using RhoMap = std::vector<double>;
 
 class Evolution {
  public:

@@ -59,8 +59,8 @@ bool OnesPolicy::should_deploy(const sched::ClusterState& state,
   // Pacing rule (§3.2.2 "Update"): every running job must have completed at
   // least one epoch since the last deployed schedule.
   for (const sched::JobView* v : state.running_jobs()) {
-    auto it = epochs_at_deploy_.find(v->spec.id);
-    if (it != epochs_at_deploy_.end() && v->epochs_completed <= it->second) {
+    const auto id = static_cast<std::size_t>(v->spec.id);
+    if (id < epochs_at_deploy_.size() && v->epochs_completed <= epochs_at_deploy_[id]) {
       return false;
     }
   }
@@ -86,11 +86,11 @@ void OnesPolicy::deployed(const sched::ClusterState& state,
     }
   }
 
-  epochs_at_deploy_.clear();
+  epochs_at_deploy_.assign(state.id_bound(), -1);
   for (JobId j : next.running_jobs()) {
     const sched::JobView* v = state.job(j);
     ONES_EXPECT(v != nullptr);
-    epochs_at_deploy_.emplace(j, v->epochs_completed);
+    epochs_at_deploy_[static_cast<std::size_t>(j)] = v->epochs_completed;
   }
 }
 

@@ -14,7 +14,7 @@
 // (§3.3), so the cost charged per change is ~1 s instead of tens of seconds.
 #pragma once
 
-#include <unordered_map>
+#include <vector>
 
 #include "core/batch_policy.hpp"
 #include "core/evolution.hpp"
@@ -59,9 +59,9 @@ class OnesPolicy {
   predict::ProgressPredictor predictor_;
   BatchLimitManager limits_;
   bool use_predictor_;
-  /// epochs_completed of each running job at the moment of the last deploy.
-  // ones-lint: unordered-ok(find-by-JobId only (progress gate); rebuilt from running_jobs() order on each deploy)
-  std::unordered_map<JobId, int> epochs_at_deploy_;
+  /// epochs_completed of each job at the moment of the last deploy, indexed
+  /// by JobId; -1 for a job that did not run in the deployed schedule.
+  std::vector<int> epochs_at_deploy_;
 };
 
 class OnesScheduler : public sched::Scheduler {

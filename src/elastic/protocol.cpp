@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <sstream>
-#include <unordered_set>
 
 #include "common/expect.hpp"
 #include "model/throughput.hpp"
@@ -35,10 +34,9 @@ ScalingSession::ScalingSession(sim::SimEngine& engine, const model::TaskProfile&
   ONES_EXPECT(!request_.old_workers.empty());
   ONES_EXPECT(!request_.new_workers.empty());
   ONES_EXPECT(on_done_ != nullptr);
-  // ones-lint: unordered-ok(membership probe while iterating new_workers in request order; the set itself is never iterated)
-  std::unordered_set<GpuId> old_set(request_.old_workers.begin(), request_.old_workers.end());
+  const auto& old = request_.old_workers;
   for (GpuId g : request_.new_workers) {
-    if (old_set.count(g)) {
+    if (std::find(old.begin(), old.end(), g) != old.end()) {
       kept_.push_back(g);
     } else {
       added_.push_back(g);

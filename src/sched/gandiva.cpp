@@ -21,14 +21,13 @@ std::optional<cluster::Assignment> GandivaScheduler::on_event(const ClusterState
     bool expired = false;  ///< running and consumed a full quantum
   };
   std::vector<Cand> waiting, running_fresh, running_expired;
+  if (slice_start_exec_.size() < state.id_bound()) slice_start_exec_.resize(state.id_bound());
   for (const JobView* job : state.active_jobs()) {
     if (job->status == JobStatus::Waiting) {
       waiting.push_back({job, false});
       continue;
     }
-    double start = 0.0;
-    auto it = slice_start_exec_.find(job->spec.id);
-    if (it != slice_start_exec_.end()) start = it->second;
+    const double start = slice_start_exec_[static_cast<std::size_t>(job->spec.id)];
     const bool expired = rotation && (job->exec_time_s - start >= config_.quantum_s);
     (expired ? running_expired : running_fresh).push_back({job, expired});
   }
@@ -85,7 +84,7 @@ std::optional<cluster::Assignment> GandivaScheduler::on_event(const ClusterState
       const auto gpus = pick_idle_gpus(next, *state.topology, j->spec.requested_gpus);
       ONES_EXPECT_MSG(!gpus.empty(), "capacity accounting broke in Gandiva");
       place_job_even(next, j->spec.id, gpus, j->spec.requested_batch);
-      slice_start_exec_[j->spec.id] = j->exec_time_s;  // slice begins
+      slice_start_exec_[static_cast<std::size_t>(j->spec.id)] = j->exec_time_s;  // slice begins
     }
   }
   return next;

@@ -18,7 +18,7 @@
 // for the library.
 #pragma once
 
-#include <unordered_map>
+#include <vector>
 
 #include "sched/scheduler.hpp"
 
@@ -43,9 +43,8 @@ class GandivaScheduler : public Scheduler {
 
  private:
   GandivaConfig config_;
-  /// Executed time at the start of each job's current slice.
-  // ones-lint: unordered-ok(per-job slice bookkeeping, keyed access only; candidate order comes from state.active_jobs())
-  std::unordered_map<JobId, double> slice_start_exec_;
+  /// Executed time at the start of each job's current slice, by JobId.
+  std::vector<double> slice_start_exec_;
 };
 
 }  // namespace ones::sched

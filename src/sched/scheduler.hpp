@@ -117,8 +117,13 @@ struct ClusterState {
   const std::vector<const JobView*>& jobs() const { return jobs_; }
   /// The non-Completed subset of jobs(), in the same order.
   const std::vector<const JobView*>& active_jobs() const { return active_; }
-  /// Binary search of the JobId index; null for a job never admitted.
-  const JobView* job(JobId id) const;
+  /// The view of job `id`; null for a job never admitted.
+  const JobView* job(JobId id) const {
+    const auto i = static_cast<std::size_t>(id);  // a negative id wraps out of range
+    return i < by_id_.size() ? by_id_[i] : nullptr;
+  }
+  /// One past the largest admitted JobId: the size of per-job tables.
+  std::size_t id_bound() const { return by_id_.size(); }
   std::vector<const JobView*> waiting_jobs() const;
   std::vector<const JobView*> running_jobs() const;
 
@@ -127,14 +132,14 @@ struct ClusterState {
   /// leaves the active list once when it completes.
   void admit(const JobView& job);
   void retire(const JobView& job);
-  /// Recompute the active list and the JobId index from jobs() and throw on
+  /// Recompute the active list and the JobId table from jobs() and throw on
   /// divergence (SimulationConfig::audit_incremental).
   void audit_indexes() const;
 
  private:
   std::vector<const JobView*> jobs_;
   std::vector<const JobView*> active_;
-  std::vector<const JobView*> by_id_;  ///< all of jobs_, sorted by JobId
+  std::vector<const JobView*> by_id_;  ///< by JobId; null if never admitted
 };
 
 class Scheduler {

@@ -25,8 +25,6 @@ const std::vector<double> kRecoveryLatencyBounds = {1.0,   10.0,  30.0,  60.0,
 /// Cumulative checkpoint-restarts a job has suffered when it restarts again.
 const std::vector<double> kRetryDepthBounds = {1.0, 2.0, 3.0, 4.0, 6.0, 8.0};
 
-bool id_less(const JobView* j, JobId want) { return j->spec.id < want; }
-
 }  // namespace
 
 const char* status_name(JobStatus status) {
@@ -50,11 +48,6 @@ const char* event_name(EventKind kind) {
   return "?";
 }
 
-const JobView* ClusterState::job(JobId id) const {
-  const auto it = std::lower_bound(by_id_.begin(), by_id_.end(), id, id_less);
-  return it != by_id_.end() && (*it)->spec.id == id ? *it : nullptr;
-}
-
 // Completed jobs match neither status filter, so scanning the active list
 // instead of jobs() skips only the (ever-growing) completed tail.
 
@@ -75,10 +68,11 @@ std::vector<const JobView*> ClusterState::running_jobs() const {
 }
 
 void ClusterState::admit(const JobView& job) {
-  const auto at = std::lower_bound(by_id_.begin(), by_id_.end(), job.spec.id, id_less);
-  ONES_EXPECT_MSG(at == by_id_.end() || (*at)->spec.id != job.spec.id,
-                  "job admitted twice");
-  by_id_.insert(at, &job);
+  ONES_EXPECT_MSG(job.spec.id >= 0, "negative job id");
+  const auto id = static_cast<std::size_t>(job.spec.id);
+  if (id >= by_id_.size()) by_id_.resize(id + 1, nullptr);
+  ONES_EXPECT_MSG(by_id_[id] == nullptr, "job admitted twice");
+  by_id_[id] = &job;
   jobs_.push_back(&job);
   active_.push_back(&job);
 }
@@ -95,18 +89,15 @@ void ClusterState::audit_indexes() const {
     if (j->status != JobStatus::Completed) active.push_back(j);
   }
   ONES_EXPECT_MSG(active == active_, "active-job list diverged from job statuses");
-  ONES_EXPECT_MSG(by_id_.size() == jobs_.size(), "id index out of sync with jobs");
-  for (std::size_t i = 1; i < by_id_.size(); ++i) {
-    ONES_EXPECT_MSG(by_id_[i - 1]->spec.id < by_id_[i]->spec.id,
-                    "id index not strictly sorted");
-  }
+  for (const JobView* j : jobs_) ONES_EXPECT_MSG(job(j->spec.id) == j, "id table missing a job");
+  const auto unused = static_cast<std::size_t>(std::count(by_id_.begin(), by_id_.end(), nullptr));
+  ONES_EXPECT_MSG(by_id_.size() - unused == jobs_.size(), "id table holds a job not in jobs");
 }
 
 ClusterSimulation::ClusterSimulation(const SimulationConfig& config,
                                      std::vector<workload::JobSpec> trace,
                                      Scheduler& scheduler)
     : config_(config),
-      trace_(std::move(trace)),
       scheduler_(scheduler),
       topology_(config.topology),
       current_(topology_.total_gpus()),
@@ -115,20 +106,21 @@ ClusterSimulation::ClusterSimulation(const SimulationConfig& config,
       power_model_(config.power),
       energy_(power_model_, topology_,
               [this](JobId job) { return runtime(job).view.profile; }) {
-  ONES_EXPECT(!trace_.empty());
-  // Schedule every arrival up front.
-  for (const auto& spec : trace_) {
-    ONES_EXPECT_MSG(!runtimes_.count(spec.id), "duplicate job id in trace");
-    runtimes_.emplace(spec.id, JobRuntime{});
-    engine_.schedule_at(spec.arrival_time_s, [this, id = spec.id] { on_arrival(id); });
-  }
-  // The runtimes get fully initialized on arrival; reserve specs now.
-  for (const auto& spec : trace_) {
-    auto& rt = runtimes_.at(spec.id);
-    rt.view.spec = spec;
-    rt.view.profile = &model::profile_by_name(spec.variant.model_name);
-    rt.view.init_loss = rt.view.profile->init_loss;
-    rt.view.train_loss = rt.view.profile->init_loss;
+  ONES_EXPECT(!trace.empty());
+  // JobIds index runtimes_, so a trace's ids must be 0..N-1, each used once.
+  runtimes_.resize(trace.size());
+  for (auto& spec : trace) {
+    const JobId id = spec.id;
+    ONES_EXPECT_MSG(known(id) && runtime(id).view.profile == nullptr,
+                    "trace job ids must be 0..N-1, each used once; offending id " +
+                        std::to_string(id));
+    // The runtimes get fully initialized on arrival; keep specs now.
+    auto& view = runtime(id).view;
+    view.profile = &model::profile_by_name(spec.variant.model_name);
+    view.init_loss = view.profile->init_loss;
+    view.train_loss = view.profile->init_loss;
+    engine_.schedule_at(spec.arrival_time_s, [this, id] { on_arrival(id); });
+    view.spec = std::move(spec);
   }
   if (scheduler_.period_s() > 0.0) {
     engine_.schedule_after(scheduler_.period_s(), [this] { on_timer(); });
@@ -183,15 +175,13 @@ ClusterSimulation::~ClusterSimulation() {
 }
 
 ClusterSimulation::JobRuntime& ClusterSimulation::runtime(JobId job) {
-  auto it = runtimes_.find(job);
-  ONES_EXPECT_MSG(it != runtimes_.end(), "unknown job id");
-  return it->second;
+  ONES_EXPECT_MSG(known(job), "unknown job id");
+  return runtimes_[static_cast<std::size_t>(job)];
 }
 
 const ClusterSimulation::JobRuntime& ClusterSimulation::runtime(JobId job) const {
-  auto it = runtimes_.find(job);
-  ONES_EXPECT_MSG(it != runtimes_.end(), "unknown job id");
-  return it->second;
+  ONES_EXPECT_MSG(known(job), "unknown job id");
+  return runtimes_[static_cast<std::size_t>(job)];
 }
 
 const JobView& ClusterSimulation::job_view(JobId job) const { return runtime(job).view; }
@@ -227,11 +217,16 @@ void ClusterSimulation::audit_state() const {
                       "down GPU still occupied after recovery (I9)");
     }
   }
-  ONES_EXPECT_MSG(state_.jobs().size() == arrived_order_.size(),
+  const auto arrived = std::count_if(runtimes_.begin(), runtimes_.end(),
+                                     [](const JobRuntime& rt) { return rt.dynamics != nullptr; });
+  ONES_EXPECT_MSG(state_.jobs().size() == static_cast<std::size_t>(arrived),
                   "snapshot job list out of sync with arrivals");
-  for (std::size_t i = 0; i < arrived_order_.size(); ++i) {
-    const JobView& v = runtimes_.at(arrived_order_[i]).view;
-    ONES_EXPECT_MSG(state_.jobs()[i] == &v, "snapshot job list out of arrival order");
+  const auto& jobs = state_.jobs();
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const JobView& v = *jobs[i];
+    const bool in_order = i == 0 || jobs[i - 1]->spec.arrival_time_s <= v.spec.arrival_time_s;
+    ONES_EXPECT_MSG(&runtime(v.spec.id).view == &v && in_order,
+                    "snapshot job list out of arrival order");
     // reconfigure_job and stop_job read a job's old placement from its view.
     const int gpus = current_.gpu_count(v.spec.id);
     if (v.status == JobStatus::Running) {
@@ -248,7 +243,7 @@ void ClusterSimulation::run() {
     sink_->on_record({.kind = trace::RecordKind::RunBegin,
                       .t = engine_.now(),
                       .gpus = topology_.total_gpus(),
-                      .global_batch = static_cast<int>(trace_.size()),
+                      .global_batch = static_cast<int>(runtimes_.size()),
                       .detail = scheduler_.name()});
   }
   engine_.run_until(config_.max_sim_time_s);
@@ -267,7 +262,7 @@ void ClusterSimulation::run() {
     registry_->gauge("sim_events_fired").set(static_cast<double>(events_fired()));
   }
   if (!all_completed()) {
-    ONES_LOG(Warn) << "simulation ended with " << (trace_.size() - completed_count_)
+    ONES_LOG(Warn) << "simulation ended with " << (runtimes_.size() - completed_count_)
                    << " unfinished job(s) — scheduler '" << scheduler_.name()
                    << "' left work stranded or hit the time limit";
   }
@@ -335,14 +330,12 @@ void ClusterSimulation::sample_cluster_metrics() {
 
 void ClusterSimulation::record_batch_point(JobId job) {
   if (registry_ == nullptr) return;
-  auto it = batch_series_.find(job);
-  if (it == batch_series_.end()) {
-    const auto id =
-        registry_->timeline().series("job" + std::to_string(job) + ".batch");
-    it = batch_series_.emplace(job, id).first;
+  auto& rt = runtime(job);
+  if (!rt.batch_series) {
+    rt.batch_series = registry_->timeline().series("job" + std::to_string(job) + ".batch");
   }
-  registry_->timeline().record(it->second, engine_.now(),
-                               static_cast<double>(runtime(job).view.global_batch));
+  registry_->timeline().record(*rt.batch_series, engine_.now(),
+                               static_cast<double>(rt.view.global_batch));
 }
 
 void ClusterSimulation::accrue(JobId job, double now) {
@@ -374,7 +367,6 @@ void ClusterSimulation::on_arrival(JobId job) {
   rt.dynamics = std::make_unique<model::TrainDynamics>(
       *rt.view.profile, rt.view.spec.variant.dataset_size, config_.convergence,
       rt.view.spec.dynamics_seed);
-  arrived_order_.push_back(job);
   state_.admit(rt.view);
   metrics_.on_submit(job, engine_.now());
   if (registry_ != nullptr) {
@@ -403,13 +395,13 @@ void ClusterSimulation::on_kill_event(JobId job) {
 
 void ClusterSimulation::on_timer() {
   notify(EventKind::Timer, kInvalidJob);
-  if (completed_count_ < trace_.size()) {
+  if (!all_completed()) {
     engine_.schedule_after(scheduler_.period_s(), [this] { on_timer(); });
   }
 }
 
 void ClusterSimulation::maybe_halt_faults() {
-  if (injector_ != nullptr && completed_count_ == trace_.size()) injector_->halt();
+  if (injector_ != nullptr && all_completed()) injector_->halt();
 }
 
 void ClusterSimulation::on_health_changes(
@@ -640,9 +632,8 @@ void ClusterSimulation::validate(const cluster::Assignment& next) const {
                     "assignment places a worker on a down GPU (I9)");
   }
   for (JobId j : next.running_jobs()) {
-    auto it = runtimes_.find(j);
-    ONES_EXPECT_MSG(it != runtimes_.end(), "assignment references unknown job");
-    const auto& rt = it->second;
+    ONES_EXPECT_MSG(known(j), "assignment references unknown job");
+    const auto& rt = runtime(j);
     ONES_EXPECT_MSG(rt.view.status != JobStatus::Completed,
                     "assignment references a completed job");
     ONES_EXPECT_MSG(rt.dynamics != nullptr, "assignment references a job not yet arrived");

@@ -15,7 +15,6 @@
 
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "cluster/assignment.hpp"
@@ -98,7 +97,7 @@ class ClusterSimulation {
   const JobView& job_view(JobId job) const;
   /// Jobs that finished (converged normally or aborted).
   std::size_t completed_jobs() const { return completed_count_; }
-  bool all_completed() const { return completed_count_ == trace_.size(); }
+  bool all_completed() const { return completed_count_ == runtimes_.size(); }
   double now() const { return engine_.now(); }
   /// Number of Assignments the scheduler deployed (schedule churn).
   std::uint64_t deployments() const { return deployments_; }
@@ -129,6 +128,7 @@ class ClusterSimulation {
     double failed_at = 0.0;     ///< sim time of the failure being recovered
     double lost_gpu_s = 0.0;    ///< accounted lost GPU-seconds (I10)
     bool pending_recovery = false;  ///< JobRecovered owed at next start
+    std::optional<telemetry::TimelineSampler::SeriesId> batch_series;  ///< first batch point on
   };
 
   void on_arrival(JobId job);
@@ -176,6 +176,8 @@ class ClusterSimulation {
   void sample_cluster_metrics();
   void record_batch_point(JobId job);
 
+  /// Whether `job` is one of the trace's ids (a negative id wraps out of range).
+  bool known(JobId job) const { return static_cast<std::size_t>(job) < runtimes_.size(); }
   JobRuntime& runtime(JobId job);
   const JobRuntime& runtime(JobId job) const;
   /// Refresh the persistent snapshot (clock only — the job lists and indexes
@@ -186,7 +188,6 @@ class ClusterSimulation {
   void audit_state() const;
 
   SimulationConfig config_;
-  std::vector<workload::JobSpec> trace_;
   Scheduler& scheduler_;
 
   sim::SimEngine engine_;
@@ -200,12 +201,11 @@ class ClusterSimulation {
   /// Null unless SimulationConfig::fault.enabled().
   std::unique_ptr<cluster::FaultInjector> injector_;
 
-  // ones-lint: unordered-ok(keyed lookup via runtime() only; every traversal goes through arrived_order_, which fixes iteration to arrival order)
-  std::unordered_map<JobId, JobRuntime> runtimes_;
-  std::vector<JobId> arrived_order_;
+  /// Indexed by JobId; sized once from the trace and never resized.
+  std::vector<JobRuntime> runtimes_;
   /// Persistent scheduler snapshot (DESIGN.md §12): jobs are admitted at
-  /// arrival and retired at completion. JobView pointers are stable:
-  /// runtimes_ is node-based and never erased from.
+  /// arrival and retired at completion. JobView pointers into runtimes_
+  /// are stable.
   ClusterState state_;
   std::size_t completed_count_ = 0;
   /// Fired engine events that exist only for the trace (elastic_resumed).
@@ -230,8 +230,6 @@ class ClusterSimulation {
   telemetry::TimelineSampler::SeriesId busy_series_ = 0;
   telemetry::TimelineSampler::SeriesId frag_idle_series_ = 0;
   telemetry::TimelineSampler::SeriesId frag_scatter_series_ = 0;
-  // ones-lint: unordered-ok(per-job series-id memo, find/emplace by JobId only, never iterated)
-  std::unordered_map<JobId, telemetry::TimelineSampler::SeriesId> batch_series_;
 };
 
 }  // namespace ones::sched

@@ -128,7 +128,7 @@ class SimEngine {
   /// Rebuild the calendar when the live count has outgrown (or far
   /// undershot) the bucket ring: re-derive bucket count and width from the
   /// live population and redistribute. Deterministic — depends only on the
-  /// live set, never on iteration order of anything unordered.
+  /// live set, never on the iteration order of a hash container.
   void maybe_resize();
   void rebuild(std::size_t nbuckets);
 

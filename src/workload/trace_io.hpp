@@ -17,6 +17,8 @@ void write_trace_csv(std::ostream& os, const std::vector<JobSpec>& trace);
 
 /// Parse a trace written by write_trace_csv. Throws std::logic_error on
 /// malformed input (wrong column count, non-numeric fields, unknown model).
+/// Ids are kept as written; a trace to simulate needs ids 0..N-1, each once
+/// (sched::ClusterSimulation rejects anything else).
 std::vector<JobSpec> read_trace_csv(std::istream& is);
 
 /// File-path conveniences.

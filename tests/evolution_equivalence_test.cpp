@@ -223,13 +223,20 @@ TEST_P(EvolutionEquivalence, LockStepMatchesReference) {
     if (round + 1 < kRounds) world.advance(best, round, p.faults);
   }
 
-  // Scores of the final population, bit for bit, under the deterministic rho.
+  // Scores of the final population, bit for bit, under the deterministic rho;
+  // each side scores under its own rho table.
   const EvolutionContext ctx = world.context(p.predictor);
   const RhoMap rho = evo.mean_rho(ctx);
-  ASSERT_EQ(rho, ref.mean_rho(ctx));
+  const auto ref_rho = ref.mean_rho(ctx);
+  ASSERT_EQ(rho.size(), ctx.state->id_bound());
+  ASSERT_EQ(ref_rho.size(), ctx.state->active_jobs().size());
+  for (const sched::JobView* v : ctx.state->active_jobs()) {
+    ASSERT_EQ(rho[static_cast<std::size_t>(v->spec.id)], ref_rho.at(v->spec.id))
+        << "job " << v->spec.id;
+  }
   for (std::size_t i = 0; i < evo.population().size(); ++i) {
     EXPECT_EQ(evo.score(evo.population()[i], ctx, rho),
-              ref.score(ref.population()[i], ctx, rho))
+              ref.score(ref.population()[i], ctx, ref_rho))
         << "member " << i;
   }
 }

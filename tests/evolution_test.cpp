@@ -5,6 +5,8 @@
 #include <memory>
 #include <set>
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/batch_policy.hpp"
@@ -225,6 +227,28 @@ TEST(BatchPolicy, PreemptionCapsResumeAtLastBatch) {
   EXPECT_EQ(limits.limit(v), 512);
 }
 
+TEST(BatchPolicy, NoLimitBeforeArrivalOrAfterCompletion) {
+  BatchLimitManager limits;
+  Fixture f;
+  auto& v = f.add_job(3, "ResNet18", 20000, sched::JobStatus::Waiting);
+  const auto no_limit = [&](auto fn) {
+    try {
+      fn();
+    } catch (const std::logic_error& e) {
+      return std::string(e.what()).find("no batch limit") != std::string::npos;
+    }
+    return false;
+  };
+  EXPECT_TRUE(no_limit([&] { limits.limit(v); }));  // never arrived
+  limits.on_job_arrival(v, 0.0);
+  EXPECT_GT(limits.limit(v), 0);
+  limits.on_completed(3);
+  EXPECT_TRUE(no_limit([&] { limits.limit(v); }));
+  EXPECT_TRUE(no_limit([&] { limits.on_epoch_complete(v); }));
+  EXPECT_TRUE(no_limit([&] { limits.on_left_waiting(v); }));
+  EXPECT_TRUE(no_limit([&] { limits.on_preempted(v, 64); }));
+}
+
 TEST(BatchPolicy, ArrivalRateEstimate) {
   BatchLimitManager limits;
   Fixture f;
@@ -360,7 +384,7 @@ TEST(Evolution, ReorderImprovesLocalityScore) {
   spread.place(0, 1, 64);
   spread.place(4, 1, 64);  // crosses nodes
   const auto packed = Evolution::reorder(spread);
-  RhoMap rho{{1, 0.5}};
+  RhoMap rho{0.5, 0.5};  // indexed by JobId: job 1 at 0.5
   EXPECT_LT(evo.score(packed, ctx, rho), evo.score(spread, ctx, rho));
 }
 
@@ -404,7 +428,7 @@ TEST(Evolution, ScoreIsSrufUtilization) {
   Evolution evo(EvolutionConfig{});
   cluster::Assignment cand(f.topo_.total_gpus());
   cand.place(0, 1, 256);
-  RhoMap rho{{1, 0.5}};
+  RhoMap rho{0.5, 0.5};  // indexed by JobId: job 1 at 0.5
   // Eq. 8: Y_proc * c / X * (1/rho - 1); plus switch surcharge because the
   // live assignment (empty) differs... job 1 is Running in view but absent
   // from live, so no switch penalty applies (it is charged as a resume).
@@ -427,7 +451,7 @@ TEST(Evolution, ScorePrefersShorterRemaining) {
   run_a.place(0, 1, 256);
   run_b.place(0, 2, 256);
   // Job 1 is nearly done (rho -> 1), job 2 barely started (rho small).
-  RhoMap rho{{1, 0.9}, {2, 0.1}};
+  RhoMap rho{0.5, 0.9, 0.1};  // indexed by JobId: job 1 at 0.9, job 2 at 0.1
   EXPECT_LT(evo.score(run_a, ctx, rho), evo.score(run_b, ctx, rho));
 }
 

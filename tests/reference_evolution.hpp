@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <limits>
 #include <numeric>
+#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -178,7 +179,8 @@ class ReferenceEvolution {
  public:
   using Assignment = cluster::Assignment;
   using Context = core::EvolutionContext;
-  using RhoMap = core::RhoMap;
+  /// The pre-rewrite rho table: keyed by JobId, 1/2 for a job without a draw.
+  using RhoMap = std::unordered_map<JobId, double>;
 
   ReferenceEvolution(const core::EvolutionConfig& config, const ReferenceOracle& oracle)
       : config_(config), rng_(config.seed), oracle_(oracle) {}

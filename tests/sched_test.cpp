@@ -509,6 +509,9 @@ TEST(ClusterState, AdmitAndRetireKeepTheIndexesAudited) {
   EXPECT_EQ(s.job(3), &b);
   EXPECT_EQ(s.job(7), &a);
   EXPECT_EQ(s.job(5), nullptr);
+  EXPECT_EQ(s.job(-1), nullptr);
+  EXPECT_EQ(s.job(1000), nullptr);
+  EXPECT_EQ(s.id_bound(), 8u);
   EXPECT_THROW(s.admit(a), std::logic_error);
   a.status = JobStatus::Completed;
   EXPECT_THROW(s.audit_indexes(), std::logic_error);  // completed, still active

@@ -3,6 +3,10 @@
 // assignments, disabled epoch logs and oracle noise.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "core/ones_scheduler.hpp"
 #include "sched/fifo.hpp"
 #include "sched/simulation.hpp"
@@ -31,6 +35,44 @@ SimulationConfig config_with(int nodes, int gpus_per_node = 4) {
   c.topology.num_nodes = nodes;
   c.topology.gpus_per_node = gpus_per_node;
   return c;
+}
+
+/// The std::logic_error message `fn` throws; "" when it throws none.
+template <typename Fn>
+std::string logic_error_of(Fn fn) {
+  try {
+    fn();
+  } catch (const std::logic_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// JobIds index the driver's per-job tables, so a trace must number its jobs
+// 0..N-1 (in any order), each once; the message names the offending id.
+TEST(SimEdge, TraceIdsMustBeDenseFromZero) {
+  const auto rejects = [](const std::vector<JobId>& ids) {
+    std::vector<workload::JobSpec> trace;
+    for (const JobId id : ids) trace.push_back(make_spec(id, "ResNet18", 20000, 0.0));
+    FifoScheduler fifo;
+    return logic_error_of([&] { ClusterSimulation sim(config_with(1), trace, fifo); });
+  };
+  EXPECT_NE(rejects({0, 2}).find("offending id 2"), std::string::npos);  // gap
+  EXPECT_NE(rejects({0, 1, 1}).find("offending id 1"), std::string::npos);  // duplicate
+  EXPECT_NE(rejects({-1, 0}).find("offending id -1"), std::string::npos);  // negative
+  EXPECT_EQ(rejects({2, 0, 1}), "");  // a permutation is fine
+}
+
+TEST(SimEdge, JobViewRejectsIdsOutsideTheTrace) {
+  std::vector<workload::JobSpec> trace = {make_spec(1, "ResNet18", 20000, 0.0),
+                                          make_spec(0, "GoogleNet", 20000, 1.0)};
+  FifoScheduler fifo;
+  ClusterSimulation sim(config_with(1), trace, fifo);
+  EXPECT_EQ(sim.job_view(1).spec.variant.model_name, "ResNet18");
+  EXPECT_NE(logic_error_of([&] { sim.job_view(-1); }).find("unknown job id"),
+            std::string::npos);
+  EXPECT_NE(logic_error_of([&] { sim.job_view(2); }).find("unknown job id"),
+            std::string::npos);
 }
 
 TEST(SimEdge, SingleGpuClusterSerializesEverything) {

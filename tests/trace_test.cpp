@@ -8,6 +8,7 @@
 #include <memory>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "common/json.hpp"
 #include "core/annealing.hpp"
@@ -103,20 +104,29 @@ TEST(Sinks, MultiSinkFansOut) {
   EXPECT_EQ(a.records()[0], b.records()[0]);
 }
 
+/// Run a Table-2 trace (seed 7) of `jobs` jobs at `interarrival_s` mean
+/// inter-arrival on `nodes`x4 GPUs under `scheduler` through `sink`.
+/// Returns {deployments, events fired}.
+std::pair<std::uint64_t, std::uint64_t> run_scenario(sched::Scheduler& scheduler,
+                                                     TraceSink& sink, int nodes, int jobs,
+                                                     double interarrival_s) {
+  sched::SimulationConfig config;
+  config.topology.num_nodes = nodes;
+  config.trace_sink = &sink;
+  workload::TraceConfig tc;
+  tc.num_jobs = jobs;
+  tc.mean_interarrival_s = interarrival_s;
+  tc.seed = 7;
+  sched::ClusterSimulation sim(config, workload::generate_trace(tc), scheduler);
+  sim.run();
+  EXPECT_TRUE(sim.all_completed());
+  return {sim.deployments(), sim.events_fired()};
+}
+
 /// Run the quickstart scenario (examples/quickstart.cpp: 4x4 GPUs, 24 jobs,
 /// 45 s mean inter-arrival, seed 7) under `scheduler` through `sink`.
 void run_quickstart(sched::Scheduler& scheduler, TraceSink& sink) {
-  sched::SimulationConfig config;
-  config.topology.num_nodes = 4;
-  config.trace_sink = &sink;
-  workload::TraceConfig tc;
-  tc.num_jobs = 24;
-  tc.mean_interarrival_s = 45.0;
-  tc.seed = 7;
-  const auto trace = workload::generate_trace(tc);
-  sched::ClusterSimulation sim(config, trace, scheduler);
-  sim.run();
-  ASSERT_TRUE(sim.all_completed());
+  run_scenario(scheduler, sink, 4, 24, 45.0);
 }
 
 void run_quickstart_ones(TraceSink& sink) {
@@ -145,6 +155,24 @@ TEST(GoldenTrace, QuickstartOnesDigestIsPinned) {
   const std::uint64_t digest = quickstart_digest(scheduler);
   EXPECT_EQ(digest, kQuickstartOnesDigest)
       << "quickstart ONES trace digest changed; new digest: 0x" << std::hex << digest;
+}
+
+/// Golden digest of one short ONES run at 128 GPUs (32x4, 16 jobs, 9 s mean
+/// inter-arrival, seed 7): twice the largest cluster the lock-step
+/// evolution test covers, so hot-path rewrites stay pinned beyond it. Same
+/// re-pin rules as above.
+constexpr std::uint64_t kOnes128GpuDigest = 0x4043214355dab6bcULL;
+
+TEST(GoldenTrace, Ones128GpuDigestIsPinned) {
+  core::OnesScheduler scheduler;
+  std::ostringstream out;
+  JsonlSink jsonl(out);
+  const auto [deployments, events] = run_scenario(scheduler, jsonl, 32, 16, 9.0);
+  EXPECT_EQ(deployments, 33u);
+  EXPECT_EQ(events, 518u);
+  const std::uint64_t digest = exp::fnv1a64(out.str());
+  EXPECT_EQ(digest, kOnes128GpuDigest)
+      << "128-GPU ONES trace digest changed; new digest: 0x" << std::hex << digest;
 }
 
 /// The ONES search variants that share its policy front-end and operators,
