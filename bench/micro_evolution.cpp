@@ -76,7 +76,37 @@ void BM_EvolutionStep(benchmark::State& bench_state) {
   }
   bench_state.SetLabel(std::to_string(nodes * 4) + " GPUs");
 }
-BENCHMARK(BM_EvolutionStep)->Arg(4)->Arg(8)->Arg(16)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_EvolutionStep)
+    ->Arg(4)
+    ->Arg(8)
+    ->Arg(16)
+    ->Arg(32)
+    ->Unit(benchmark::kMillisecond);
+
+/// One fill_idle call on a candidate with at least half its GPUs idle, so
+/// the call makes many draws (each evicted job is a resume option). The
+/// timed loop includes one O(G) copy of the candidate.
+void BM_FillIdle(benchmark::State& bench_state) {
+  const int nodes = static_cast<int>(bench_state.range(0));
+  World w(nodes, nodes * 6);
+  auto ctx = core::make_context(w.state, nullptr, &w.limits);
+  core::Evolution evo(core::EvolutionConfig{});
+  cluster::Assignment half(w.topo.total_gpus());
+  evo.refresh(half, ctx);
+  const auto running = half.running_jobs();
+  const std::vector<JobId> jobs(running.begin(), running.end());
+  for (const JobId j : jobs) {
+    if (2 * half.idle_count() >= half.num_gpus()) break;
+    half.evict(j);
+  }
+  for (auto _ : bench_state) {
+    cluster::Assignment cand = half;
+    evo.fill_idle(cand, ctx);
+    benchmark::DoNotOptimize(cand);
+  }
+  bench_state.SetLabel(std::to_string(nodes * 4) + " GPUs");
+}
+BENCHMARK(BM_FillIdle)->Arg(4)->Arg(8)->Arg(16)->Arg(32)->Unit(benchmark::kMicrosecond);
 
 void BM_Refresh(benchmark::State& bench_state) {
   World w(8, 48);

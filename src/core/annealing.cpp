@@ -35,7 +35,7 @@ std::optional<cluster::Assignment> AnnealingScheduler::on_event(
     cluster::Assignment proposal = walker;
     toolbox_.mutate(proposal, ctx);
     toolbox_.repair(proposal, ctx);
-    if (config_.operators.use_reorder) proposal = Evolution::reorder(proposal);
+    if (config_.operators.use_reorder) Evolution::reorder_in_place(proposal);
     const double score = toolbox_.score(proposal, ctx, rho);
     ++proposals_;
 

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <numeric>
 #include <optional>
+#include <string>
 
 #include "common/expect.hpp"
 #include "energy/power_model.hpp"
@@ -67,6 +69,70 @@ void split(cluster::Assignment& candidate, JobId job, int b) {
   for (int i = 0; i < c; ++i) {
     candidate.place(gpus[static_cast<std::size_t>(i)], job, base + (i < rem ? 1 : 0));
   }
+}
+
+/// One fill_idle option: resume an absent job on one GPU, or grow a running
+/// one (scale-up or spread).
+struct FillAction {
+  bool resume = false;
+  JobId job = kInvalidJob;
+};
+
+/// fill_idle's price inputs for one running job, valid while its stamp is
+/// the current call's (DESIGN.md §2). Between two draws of one call only the
+/// acting job's worker set changes, so the actor's entry is the only one
+/// invalidated; each x2 is re-estimated only when the `c + idle` clamp
+/// moves its target.
+struct FillPrice {
+  std::uint64_t stamp = 0;
+  bool warmed = false;
+  int r_limit = 0;   ///< effective_limit (set only when warmed)
+  int b = 0;         ///< global batch B in the candidate
+  int c = 0;         ///< GPU count in the candidate
+  double y = 0.0;    ///< max(expected remaining samples, 1)
+  double x1 = 0.0;   ///< throughput of the job's current placement
+  int up_c = 0;      ///< scale-up target priced by `up_x2` (0 = none)
+  int up_b = 0;
+  double up_x2 = 0.0;
+  int spread_c = 0;  ///< spread target priced by `spread_x2` (0 = none)
+  double spread_x2 = 0.0;
+};
+
+/// Buffers of fill_idle and score, reused so that neither allocates once
+/// warm. Nothing is read across calls: prices carry the stamp of the call
+/// that computed them, and the lists are cleared on entry. One set per
+/// thread, not per Evolution: a call uses them only while it runs, and the
+/// scheduler object keeps its size (perfbench's `ones_32gpu` set-up time
+/// swings with that size through glibc heap trimming; ROADMAP.md).
+struct Scratch {
+  std::vector<FillPrice> prices;  ///< by JobId
+  std::uint64_t stamp = 0;
+  std::vector<JobId> resume;      ///< absent active jobs, active_jobs() order
+  std::vector<FillAction> actions;
+  std::vector<double> weights;
+  std::vector<int> batches;       ///< score's per-job local batches
+};
+thread_local Scratch scratch;
+
+/// The current fill_idle call's price of running job `job`, computed on
+/// first use.
+FillPrice& fill_price(const Evolution& evo, const cluster::Assignment& candidate,
+                      JobId job, const EvolutionContext& ctx) {
+  FillPrice& p = scratch.prices[static_cast<std::size_t>(job)];
+  if (p.stamp == scratch.stamp) return p;
+  // A price reads only the job's own worker set, its limits and the
+  // per-event context, so it stays exact until the job itself acts.
+  p = FillPrice{};
+  p.stamp = scratch.stamp;
+  const auto& v = ctx.view(job);
+  p.warmed = ctx.limits->warmed_up(v);
+  if (!p.warmed) return p;  // offers no scale-up or spread option
+  p.r_limit = evo.effective_limit(v, ctx);
+  p.b = candidate.global_batch(job);
+  p.c = candidate.gpu_count(job);
+  p.y = std::max(ctx.expected_remaining(v), 1.0);
+  p.x1 = ctx.state->oracle->estimate_placed_sps(v, candidate);
+  return p;
 }
 
 }  // namespace
@@ -142,11 +208,10 @@ double Evolution::score(const cluster::Assignment& candidate, const EvolutionCon
       // Predicted joules to finish under this placement, in TDP-GPU-second
       // units so lambda trades them against the SRUF GPU-seconds above.
       const auto gpus = candidate.gpus_of(j);
-      std::vector<int> batches;
-      batches.reserve(gpus.size());
-      for (GpuId g : gpus) batches.push_back(candidate.slot(g).local_batch);
+      scratch.batches.clear();
+      for (GpuId g : gpus) scratch.batches.push_back(candidate.slot(g).local_batch);
       const double watts = ctx.state->power->job_watts(
-          *v.profile, batches, ctx.state->topology->link_profile(gpus));
+          *v.profile, scratch.batches, ctx.state->topology->link_profile(gpus));
       total += config_.lambda_energy * (rem / x) * watts /
                ctx.state->power->config().gpu_busy_w;
     }
@@ -194,84 +259,85 @@ void Evolution::repair(cluster::Assignment& candidate, const EvolutionContext& c
 }
 
 void Evolution::fill_idle(cluster::Assignment& candidate, const EvolutionContext& ctx) {
-  struct Action {
-    bool resume = false;
-    JobId job = kInvalidJob;
-  };
+  if (candidate.idle_count() == 0) return;
+  // A new stamp invalidates every price of the previous call at once.
+  ++scratch.stamp;
+  if (scratch.prices.size() < ctx.state->id_bound()) scratch.prices.resize(ctx.state->id_bound());
+  const sched::ThroughputOracle& oracle = *ctx.state->oracle;
 
-  // Option buffers, reused across iterations. Each iteration places workers
-  // on the lowest idle GPUs, so `candidate.idle_gpus().front()` walks the
-  // same GPUs a snapshot of the idle list would.
-  std::vector<Action> actions;
-  std::vector<double> weights;
+  // Resume options: active jobs absent from this candidate start on one GPU.
+  // Draws never evict a job, so the list only loses the jobs it resumes.
+  scratch.resume.clear();
+  for (const sched::JobView* v : ctx.state->active_jobs()) {
+    if (candidate.gpu_count(v->spec.id) == 0) scratch.resume.push_back(v->spec.id);
+  }
+
+  // Each iteration places workers on the lowest idle GPUs, so
+  // `candidate.idle_gpus().front()` walks the same GPUs a snapshot of the
+  // idle list would.
   for (;;) {
     const int idle = candidate.idle_count();
     if (idle == 0) return;
-    actions.clear();
-    weights.clear();
+    scratch.actions.clear();
+    scratch.weights.clear();
 
-    // Resume options: active jobs absent from this candidate start on one GPU.
-    for (const sched::JobView* v : ctx.state->active_jobs()) {
-      if (candidate.gpu_count(v->spec.id) > 0) continue;
-      const double y = ctx.expected_remaining(*v);
-      actions.push_back({true, v->spec.id});
-      weights.push_back(std::max(y, 1.0));
+    for (const JobId j : scratch.resume) {
+      scratch.actions.push_back({true, j});
+      scratch.weights.push_back(std::max(ctx.expected_remaining(ctx.view(j)), 1.0));
     }
 
     // Scale-up options: running jobs whose limit R still allows more batch,
     // gaining floor(R*c/B) - c more GPUs (Figure 7's utilization-gain
     // sampling).
     const auto running = candidate.running_jobs();  // no mutation until the draw
-    for (JobId j : running) {
-      const auto& v = ctx.view(j);
-      if (!ctx.limits->warmed_up(v)) continue;
-      const int r_limit = effective_limit(v, ctx);
-      const int b = candidate.global_batch(j);
-      const int c = candidate.gpu_count(j);
-      if (b >= r_limit) continue;
-      const int local = std::max(1, b / c);
-      const int target_c = std::min(static_cast<int>(r_limit / local), c + idle);
-      if (target_c <= c) continue;
-      const int b2 = std::min(r_limit, local * target_c);
-
-      const double y = ctx.expected_remaining(v);
-      const double x1 = ctx.state->oracle->estimate_placed_sps(v, candidate);
-      const double x2 = ctx.state->oracle->estimate_sps(
-          v, target_c, b2, ctx.state->oracle->can_colocate(target_c));
-      const double gain = std::max(y, 1.0) * (static_cast<double>(c) / x1 -
-                                              static_cast<double>(target_c) / x2);
-      actions.push_back({false, j});
-      weights.push_back(std::max(gain, 1e-6));
+    for (const JobId j : running) {
+      FillPrice& p = fill_price(*this, candidate, j, ctx);
+      if (!p.warmed || p.b >= p.r_limit) continue;
+      const int local = std::max(1, p.b / p.c);
+      const int target_c = std::min(static_cast<int>(p.r_limit / local), p.c + idle);
+      if (target_c <= p.c) continue;
+      const int b2 = std::min(p.r_limit, local * target_c);
+      if (p.up_c != target_c || p.up_b != b2) {
+        p.up_c = target_c;
+        p.up_b = b2;
+        p.up_x2 = oracle.estimate_sps(ctx.view(j), target_c, b2,
+                                      oracle.can_colocate(target_c));
+      }
+      const double gain = p.y * (static_cast<double>(p.c) / p.x1 -
+                                 static_cast<double>(target_c) / p.up_x2);
+      scratch.actions.push_back({false, j});
+      scratch.weights.push_back(std::max(gain, 1e-6));
     }
 
     // Spread options: when batch limits bind, idle GPUs can still speed a
     // job up by spreading its (fixed) batch over more workers — idle GPUs
     // have no opportunity cost, and Eq. 4 wants the cluster saturated.
-    for (JobId j : running) {
-      const auto& v = ctx.view(j);
-      if (!ctx.limits->warmed_up(v)) continue;
-      const int b = candidate.global_batch(j);
-      const int c = candidate.gpu_count(j);
-      const int target_c = std::min({2 * c, b, c + idle});
-      if (target_c <= c) continue;
-      const double x1 = ctx.state->oracle->estimate_placed_sps(v, candidate);
-      const double x2 = ctx.state->oracle->estimate_sps(
-          v, target_c, b, ctx.state->oracle->can_colocate(target_c));
-      if (x2 <= x1 * 1.02) continue;  // not worth the extra workers
-      const double y = ctx.expected_remaining(v);
-      const double gain = std::max(y, 1.0) * (1.0 / x1 - 1.0 / x2);
-      actions.push_back({false, j});
-      weights.push_back(std::max(gain, 1e-6));
+    for (const JobId j : running) {
+      FillPrice& p = fill_price(*this, candidate, j, ctx);
+      if (!p.warmed) continue;
+      const int target_c = std::min({2 * p.c, p.b, p.c + idle});
+      if (target_c <= p.c) continue;
+      if (p.spread_c != target_c) {
+        p.spread_c = target_c;
+        p.spread_x2 = oracle.estimate_sps(ctx.view(j), target_c, p.b,
+                                          oracle.can_colocate(target_c));
+      }
+      if (p.spread_x2 <= p.x1 * 1.02) continue;  // not worth the extra workers
+      const double gain = p.y * (1.0 / p.x1 - 1.0 / p.spread_x2);
+      scratch.actions.push_back({false, j});
+      scratch.weights.push_back(std::max(gain, 1e-6));
     }
 
-    if (actions.empty()) return;  // nothing can use the idle GPUs
-    const Action act = actions[rng_.weighted_index(weights)];
+    if (scratch.actions.empty()) return;  // nothing can use the idle GPUs
+    const std::size_t pick = rng_.weighted_index(scratch.weights);
+    const FillAction act = scratch.actions[pick];
+    const auto& v = ctx.view(act.job);
 
     if (act.resume) {
-      const auto& v = ctx.view(act.job);
       candidate.place(candidate.idle_gpus().front(), act.job, start_batch(v, ctx));
+      // Resume options come first, in scratch.resume order.
+      scratch.resume.erase(scratch.resume.begin() + static_cast<std::ptrdiff_t>(pick));
     } else {
-      const auto& v = ctx.view(act.job);
       const int r_limit = effective_limit(v, ctx);
       const int b = candidate.global_batch(act.job);
       const int c = candidate.gpu_count(act.job);
@@ -281,7 +347,11 @@ void Evolution::fill_idle(cluster::Assignment& candidate, const EvolutionContext
       // whichever the idle pool allows.
       const int grow_c = std::max(static_cast<int>(r_limit / local), std::min(2 * c, b));
       const int target_c = std::min(grow_c, c + idle);
-      if (target_c <= c) continue;
+      // Every priced grow option targets more than c GPUs, and grow_c is at
+      // least either option's target, so a stale price is the only way here.
+      ONES_EXPECT_MSG(target_c > c, "fill_idle drew a grow option for job " +
+                                        std::to_string(act.job) +
+                                        " that adds no GPU (stale price?)");
       for (int k = 0; k < target_c - c; ++k) {
         candidate.place(candidate.idle_gpus().front(), act.job, 1);
       }
@@ -292,6 +362,8 @@ void Evolution::fill_idle(cluster::Assignment& candidate, const EvolutionContext
                        target_c * v.profile->max_local_batch));
       clamp_job(candidate, act.job, ctx);
     }
+    // The actor's worker set changed: re-price it on its next use.
+    scratch.prices[static_cast<std::size_t>(act.job)].stamp = 0;
   }
 }
 
@@ -399,6 +471,24 @@ cluster::Assignment Evolution::reorder(const cluster::Assignment& candidate) {
   return cluster::Assignment::from_slots(std::move(packed));
 }
 
+void Evolution::reorder_in_place(cluster::Assignment& candidate) {
+  // Packed = each job's workers already sit on the next healthy GPUs, jobs
+  // in running_jobs() order: exactly the slots reorder() would rebuild.
+  const std::vector<GpuId>& down = candidate.unhealthy_gpus();
+  auto next_down = down.begin();
+  GpuId next = 0;
+  for (const JobId j : candidate.running_jobs()) {
+    for (const GpuId g : candidate.gpus_of(j)) {
+      for (; next_down != down.end() && *next_down == next; ++next_down) ++next;
+      if (g != next) {
+        candidate = reorder(candidate);
+        return;
+      }
+      ++next;
+    }
+  }
+}
+
 void Evolution::ensure_population(const EvolutionContext& ctx) {
   const std::size_t k = population_size(ctx);
   const int n = ctx.state->topology->total_gpus();
@@ -444,7 +534,7 @@ void Evolution::step(const EvolutionContext& ctx) {
       cand.sync_health(*ctx.state->current);
       refresh(cand, ctx);
       if (config_.use_reorder) {
-        cand = reorder(cand);
+        reorder_in_place(cand);
         ++reorders;
       }
     }
@@ -479,8 +569,8 @@ void Evolution::step(const EvolutionContext& ctx) {
       repair(c2, ctx);
       fill_idle(c2, ctx);
       if (config_.use_reorder) {
-        c1 = reorder(c1);
-        c2 = reorder(c2);
+        reorder_in_place(c1);
+        reorder_in_place(c2);
         reorders += 2;
       }
       cands.push_back(std::move(c1));
@@ -497,7 +587,7 @@ void Evolution::step(const EvolutionContext& ctx) {
       repair(m, ctx);
       fill_idle(m, ctx);
       if (config_.use_reorder) {
-        m = reorder(m);
+        reorder_in_place(m);
         ++reorders;
       }
       cands.push_back(std::move(m));

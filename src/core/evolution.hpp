@@ -116,6 +116,12 @@ class Evolution {
       const cluster::Assignment& a, const cluster::Assignment& b);
   void mutate(cluster::Assignment& candidate, const EvolutionContext& ctx);
   static cluster::Assignment reorder(const cluster::Assignment& candidate);
+  /// `reorder` in place: leaves an already-packed candidate untouched (no
+  /// rebuild) and replaces any other with `reorder(candidate)`.
+  static void reorder_in_place(cluster::Assignment& candidate);
+  /// Fill idle GPUs by probability sampling over resume / scale-up / spread
+  /// actions (Figure 7).
+  void fill_idle(cluster::Assignment& candidate, const EvolutionContext& ctx);
   /// Enforce feasibility: known jobs only, warm-up single-GPU rule, B <= R,
   /// per-GPU memory limits, even batch splits.
   void repair(cluster::Assignment& candidate, const EvolutionContext& ctx);
@@ -144,9 +150,6 @@ class Evolution {
   /// Progress fraction of every active job: drawn from `rng`, or the
   /// distribution mean when `rng` is null (1/2 under the predictor ablation).
   RhoMap draw_rho(const EvolutionContext& ctx, Rng* rng) const;
-  /// Fill idle GPUs by probability sampling over resume / scale-up actions
-  /// (Figure 7).
-  void fill_idle(cluster::Assignment& candidate, const EvolutionContext& ctx);
   /// Scale a job in-place so that B <= limit, keeping local batches even.
   void clamp_job(cluster::Assignment& candidate, JobId job,
                  const EvolutionContext& ctx);

@@ -7,6 +7,23 @@
 
 namespace ones::energy {
 
+namespace {
+
+/// model::step_time_s over a span of local batches (that one takes a vector).
+double step_time_s(const model::TaskProfile& profile, std::span<const int> local_batches,
+                   const cluster::LinkProfile& link) {
+  ONES_EXPECT(!local_batches.empty());
+  int largest = 0;
+  for (const int b : local_batches) {
+    ONES_EXPECT_MSG(b >= 1, "every worker needs at least one sample");
+    largest = std::max(largest, b);
+  }
+  return model::step_time_shape_s(profile, static_cast<int>(local_batches.size()),
+                                  largest, link);
+}
+
+}  // namespace
+
 PowerModel::PowerModel(const PowerConfig& config) : config_(config) {
   ONES_EXPECT_MSG(config_.gpu_idle_w >= 0.0, "idle watts must be non-negative");
   ONES_EXPECT_MSG(config_.gpu_busy_w >= config_.gpu_idle_w,
@@ -18,11 +35,11 @@ PowerModel::PowerModel(const PowerConfig& config) : config_(config) {
 }
 
 double PowerModel::worker_watts(const model::TaskProfile& profile,
-                                const std::vector<int>& local_batches,
+                                std::span<const int> local_batches,
                                 std::size_t index,
                                 const cluster::LinkProfile& link) const {
   ONES_EXPECT(index < local_batches.size());
-  const double step = model::step_time_s(profile, local_batches, link);
+  const double step = step_time_s(profile, local_batches, link);
   // This worker computes for its own (launch-bound-floored) batch; the rest
   // of the step it stalls on stragglers + the all-reduce.
   const int b = std::max(local_batches[index], profile.min_util_batch);
@@ -34,7 +51,7 @@ double PowerModel::worker_watts(const model::TaskProfile& profile,
 }
 
 double PowerModel::job_watts(const model::TaskProfile& profile,
-                             const std::vector<int>& local_batches,
+                             std::span<const int> local_batches,
                              const cluster::LinkProfile& link) const {
   double watts = 0.0;
   for (std::size_t i = 0; i < local_batches.size(); ++i) {

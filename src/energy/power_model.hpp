@@ -24,7 +24,7 @@
 #pragma once
 
 #include <cstddef>
-#include <vector>
+#include <span>
 
 #include "cluster/topology.hpp"
 #include "model/task.hpp"
@@ -53,12 +53,12 @@ class PowerModel {
   /// Watts drawn by worker `index` of a job running `local_batches` over
   /// `link` (the slowest link of the worker set, as in model::step_time_s).
   double worker_watts(const model::TaskProfile& profile,
-                      const std::vector<int>& local_batches, std::size_t index,
+                      std::span<const int> local_batches, std::size_t index,
                       const cluster::LinkProfile& link) const;
 
   /// Sum of worker_watts over all workers.
   double job_watts(const model::TaskProfile& profile,
-                   const std::vector<int>& local_batches,
+                   std::span<const int> local_batches,
                    const cluster::LinkProfile& link) const;
 
   /// job_watts with `global_batch` split evenly over `workers` GPUs — the

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "core/batch_policy.hpp"
 #include "core/evolution.hpp"
 #include "core/ones_scheduler.hpp"
@@ -372,6 +373,70 @@ TEST(Evolution, ReorderPacksWorkersContiguously) {
   EXPECT_EQ(as_vector(packed.gpus_of(2)), (std::vector<GpuId>{2, 3}));
   EXPECT_EQ(packed.global_batch(1), 64);
   EXPECT_EQ(packed.global_batch(2), 32);
+}
+
+TEST(Evolution, ReorderInPlaceMatchesReorder) {
+  enum Shape { Packed, Scattered, IdleGaps, DownGpus, kShapes };
+  const char* const names[] = {"packed", "scattered", "idle gaps", "down GPUs"};
+  constexpr int kGpus = 32;
+  Rng rng(17);
+  int rebuilt[kShapes] = {};
+  for (int trial = 0; trial < 400; ++trial) {
+    const auto shape = static_cast<Shape>(trial % kShapes);
+    SCOPED_TRACE(std::string(names[shape]) + " trial " + std::to_string(trial));
+    cluster::Assignment cand(kGpus);
+    if (shape == DownGpus) {
+      for (int k = 0; k < 6; ++k) {
+        cand.set_health(static_cast<GpuId>(rng.uniform_int(0, kGpus - 1)),
+                        rng.bernoulli(0.5) ? cluster::SlotHealth::Failed
+                                           : cluster::SlotHealth::Reclaimed);
+      }
+    }
+    // Jobs in a shuffled order, so first-occurrence order is not id order.
+    std::vector<JobId> jobs{0, 1, 2, 3, 4, 5, 6, 7};
+    rng.shuffle(jobs);
+    GpuId next = 0;  // packed shapes fill healthy GPUs from the bottom
+    for (const JobId j : jobs) {
+      const int workers = static_cast<int>(rng.uniform_int(0, 4));
+      for (int w = 0; w < workers && cand.idle_count() > 0; ++w) {
+        const int batch = static_cast<int>(rng.uniform_int(1, 64));
+        GpuId g = 0;
+        if (shape == Scattered || (shape == DownGpus && trial % 8 == 3)) {
+          const auto idle = cand.idle_gpus();
+          g = idle[static_cast<std::size_t>(
+              rng.uniform_int(0, static_cast<std::int64_t>(idle.size()) - 1))];
+        } else {
+          if (shape == IdleGaps && rng.bernoulli(0.2)) ++next;  // leave a hole
+          while (next < kGpus && !cand.slot(next).healthy()) ++next;
+          if (next >= kGpus) break;
+          g = next++;
+        }
+        cand.place(g, j, batch);
+      }
+    }
+
+    const cluster::Assignment before = cand;
+    const cluster::Assignment expected = Evolution::reorder(before);
+    const auto first = cand.running_jobs();
+    const GpuId* index_before = first.empty() ? nullptr : cand.gpus_of(first[0]).data();
+    Evolution::reorder_in_place(cand);
+    EXPECT_EQ(cand, expected);
+    EXPECT_NO_THROW(cand.audit_indexes());
+    EXPECT_EQ(as_vector(cand.running_jobs()), as_vector(expected.running_jobs()));
+    if (cand == before) {
+      // Already packed: the candidate is left as it was, not rebuilt (a
+      // rebuild would re-allocate every per-job GPU list).
+      if (index_before != nullptr) {
+        EXPECT_EQ(cand.gpus_of(cand.running_jobs()[0]).data(), index_before);
+      }
+    } else {
+      ++rebuilt[shape];
+    }
+  }
+  EXPECT_EQ(rebuilt[Packed], 0);  // packed by construction: never rebuilt
+  EXPECT_GT(rebuilt[Scattered], 0);
+  EXPECT_GT(rebuilt[IdleGaps], 0);
+  EXPECT_GT(rebuilt[DownGpus], 0);
 }
 
 TEST(Evolution, ReorderImprovesLocalityScore) {
