@@ -1,18 +1,23 @@
 // Microbenchmarks (google-benchmark) for the hot paths of ONES: the
-// evolution operators, SRUF scoring, predictor fitting and the simulation
-// event loop. The paper argues evolutionary search has "relatively fast
-// iterative speed" (§3.2) — these benches quantify it for this
-// implementation.
+// evolution operators, genome copies and builds, the gang placer, SRUF
+// scoring, predictor fitting and the simulation event loop. The paper
+// argues evolutionary search has "relatively fast iterative speed" (§3.2) —
+// these benches quantify it for this implementation.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "core/evolution.hpp"
 #include "core/ones_scheduler.hpp"
+#include "common/rng.hpp"
 #include "harness.hpp"
 #include "micro_report.hpp"
 #include "predict/progress_predictor.hpp"
 #include "sched/fifo.hpp"
+#include "sched/placement.hpp"
 #include "sched/simulation.hpp"
 #include "sim/engine.hpp"
 #include "workload/trace.hpp"
@@ -107,6 +112,86 @@ void BM_FillIdle(benchmark::State& bench_state) {
   bench_state.SetLabel(std::to_string(nodes * 4) + " GPUs");
 }
 BENCHMARK(BM_FillIdle)->Arg(4)->Arg(8)->Arg(16)->Arg(32)->Unit(benchmark::kMicrosecond);
+
+/// A genome-like schedule: `jobs` jobs in adjacent runs of equal width over
+/// 90% of `gpus` GPUs, the rest idle.
+cluster::Assignment packed_schedule(int gpus, int jobs) {
+  std::vector<cluster::Slot> slots(static_cast<std::size_t>(gpus));
+  const int width = std::max(1, gpus * 9 / 10 / jobs);
+  for (int j = 0; j < jobs; ++j) {
+    for (int i = 0; i < width && j * width + i < gpus; ++i) {
+      slots[static_cast<std::size_t>(j * width + i)] = cluster::Slot{j, 32};
+    }
+  }
+  return cluster::Assignment::from_slots(std::move(slots));
+}
+
+/// Copying one genome, as every decision and every offspring does. Args:
+/// GPUs and placed jobs, at the sizes perfbench's workloads reach.
+void BM_AssignmentCopy(benchmark::State& bench_state) {
+  const auto a = packed_schedule(static_cast<int>(bench_state.range(0)),
+                                 static_cast<int>(bench_state.range(1)));
+  for (auto _ : bench_state) {
+    cluster::Assignment copy = a;
+    benchmark::DoNotOptimize(copy);
+  }
+  bench_state.SetLabel(std::to_string(bench_state.range(0)) + " GPUs, " +
+                       std::to_string(a.running_jobs().size()) + " jobs");
+}
+BENCHMARK(BM_AssignmentCopy)
+    ->Args({32, 24})
+    ->Args({128, 96})
+    ->Args({2000, 450})
+    ->Unit(benchmark::kMicrosecond);
+
+/// Building a genome from a slot array (crossover children, reorder). The
+/// timed loop includes the copy of the slot array that from_slots consumes.
+void BM_FromSlots(benchmark::State& bench_state) {
+  const auto a = packed_schedule(static_cast<int>(bench_state.range(0)),
+                                 static_cast<int>(bench_state.range(1)));
+  std::vector<cluster::Slot> slots;
+  for (GpuId g = 0; g < a.num_gpus(); ++g) slots.push_back(a.slot(g));
+  for (auto _ : bench_state) {
+    auto built = cluster::Assignment::from_slots(slots);
+    benchmark::DoNotOptimize(built);
+  }
+  bench_state.SetLabel(std::to_string(bench_state.range(0)) + " GPUs, " +
+                       std::to_string(a.running_jobs().size()) + " jobs");
+}
+BENCHMARK(BM_FromSlots)
+    ->Args({32, 24})
+    ->Args({128, 96})
+    ->Args({2000, 450})
+    ->Unit(benchmark::kMicrosecond);
+
+/// The gang placer on 4-GPU nodes with about a third of the GPUs idle in
+/// scattered holes. Args: GPUs and the request. A request of 2 fits on one
+/// node (best fit); a request of 8 never does (spill).
+void BM_PickIdleGpus(benchmark::State& bench_state) {
+  const int gpus = static_cast<int>(bench_state.range(0));
+  const int count = static_cast<int>(bench_state.range(1));
+  cluster::TopologyConfig tc;
+  tc.num_nodes = gpus / tc.gpus_per_node;
+  const cluster::Topology topo(tc);
+  Rng rng(7);
+  std::vector<cluster::Slot> slots(static_cast<std::size_t>(gpus));
+  for (GpuId g = 0; g < gpus; ++g) {
+    if (rng.bernoulli(0.65)) slots[static_cast<std::size_t>(g)] = cluster::Slot{g / 3, 32};
+  }
+  const auto a = cluster::Assignment::from_slots(std::move(slots));
+  for (auto _ : bench_state) {
+    auto picked = sched::pick_idle_gpus(a, topo, count);
+    benchmark::DoNotOptimize(picked);
+  }
+  bench_state.SetLabel(std::to_string(gpus) + " GPUs, " + std::to_string(a.idle_count()) +
+                       " idle");
+}
+BENCHMARK(BM_PickIdleGpus)
+    ->Args({2000, 2})
+    ->Args({2000, 8})
+    ->Args({10000, 2})
+    ->Args({10000, 8})
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_Refresh(benchmark::State& bench_state) {
   World w(8, 48);

@@ -1,6 +1,8 @@
 #include "cluster/assignment.hpp"
 
 #include <algorithm>
+#include <iterator>
+#include <numeric>
 #include <sstream>
 #include <utility>
 
@@ -37,8 +39,9 @@ const char* to_string(SlotHealth h) {
 
 Assignment::Assignment(int num_gpus) : slots_(static_cast<std::size_t>(num_gpus)) {
   ONES_EXPECT(num_gpus >= 0);
-  idle_.resize(static_cast<std::size_t>(num_gpus));
-  for (int g = 0; g < num_gpus; ++g) idle_[static_cast<std::size_t>(g)] = g;
+  buf_.resize(static_cast<std::size_t>(num_gpus));
+  std::iota(buf_.begin(), buf_.end(), GpuId{0});
+  idle_count_ = num_gpus;
 }
 
 const Slot& Assignment::slot(GpuId gpu) const {
@@ -46,40 +49,75 @@ const Slot& Assignment::slot(GpuId gpu) const {
   return slots_[static_cast<std::size_t>(gpu)];
 }
 
-const Assignment::JobStat* Assignment::find_stat(JobId job) const {
+std::size_t Assignment::lower_stat(JobId job) const {
   const auto it = std::lower_bound(
       jobs_.begin(), jobs_.end(), job,
       [](const JobStat& s, JobId j) { return s.job < j; });
-  if (it == jobs_.end() || it->job != job) return nullptr;
-  return &*it;
+  return static_cast<std::size_t>(it - jobs_.begin());
+}
+
+const Assignment::JobStat* Assignment::find_stat(JobId job) const {
+  const std::size_t i = lower_stat(job);
+  if (i == jobs_.size() || jobs_[i].job != job) return nullptr;
+  return &jobs_[i];
 }
 
 Assignment::JobStat* Assignment::find_stat(JobId job) {
   return const_cast<JobStat*>(std::as_const(*this).find_stat(job));
 }
 
+void Assignment::shift_begins(std::size_t first, std::size_t last, int delta) {
+  for (std::size_t i = first; i < last; ++i) jobs_[i].begin += delta;
+}
+
 void Assignment::attach(JobId job, GpuId gpu, int local_batch) {
-  JobStat* stat = find_stat(job);
-  if (stat == nullptr) {
-    const auto it = std::lower_bound(
-        jobs_.begin(), jobs_.end(), job,
-        [](const JobStat& s, JobId j) { return s.job < j; });
-    stat = &*jobs_.insert(it, JobStat{job, 0, {}});
+  const std::size_t si = lower_stat(job);
+  if (si == jobs_.size() || jobs_[si].job != job) {
+    // An empty list at the spot the job's JobId order gives it.
+    const int begin = si < jobs_.size() ? jobs_[si].begin : static_cast<int>(buf_.size());
+    jobs_.insert(jobs_.begin() + static_cast<std::ptrdiff_t>(si), JobStat{job, 0, begin, 0});
   }
+  JobStat& stat = jobs_[si];
+  const auto idle_end = buf_.begin() + idle_count_;
+  const auto from = std::lower_bound(buf_.begin(), idle_end, gpu);
+  ONES_EXPECT_MSG(from != idle_end && *from == gpu, "index entry missing");
+  const auto block = buf_.begin() + stat.begin;
+  const auto to = std::lower_bound(block, block + stat.count, gpu);
+  // The GPU leaves the idle prefix for its sorted place in the job's list;
+  // everything between moves down one, so the lists up to this job's start
+  // one earlier.
+  std::rotate(from, from + 1, to);
+  --idle_count_;
+  shift_begins(0, si + 1, -1);
+  ++stat.count;
+  stat.global_batch += local_batch;
   order_valid_ = false;
-  stat->global_batch += local_batch;
-  insert_sorted(stat->gpus, gpu);
 }
 
 void Assignment::detach(JobId job, GpuId gpu, int local_batch) {
-  JobStat* stat = find_stat(job);
-  ONES_EXPECT_MSG(stat != nullptr, "job index entry missing");
-  order_valid_ = false;
-  stat->global_batch -= local_batch;
-  erase_sorted(stat->gpus, gpu);
-  if (stat->gpus.empty()) {
-    jobs_.erase(jobs_.begin() + (stat - jobs_.data()));
+  const std::size_t si = lower_stat(job);
+  ONES_EXPECT_MSG(si < jobs_.size() && jobs_[si].job == job, "job index entry missing");
+  JobStat& stat = jobs_[si];
+  const auto block = buf_.begin() + stat.begin;
+  const auto from = std::lower_bound(block, block + stat.count, gpu);
+  ONES_EXPECT_MSG(from != block + stat.count && *from == gpu, "index entry missing");
+  if (slots_[static_cast<std::size_t>(gpu)].healthy()) {
+    // Back to its sorted place in the idle prefix; everything between moves
+    // up one, so the lists up to this job's start one later.
+    const auto to = std::lower_bound(buf_.begin(), buf_.begin() + idle_count_, gpu);
+    std::rotate(to, from, from + 1);
+    ++idle_count_;
+    shift_begins(0, si + 1, 1);
+  } else {
+    // A down GPU is never idle: it leaves the buffer, and the lists after
+    // this job's start one earlier.
+    buf_.erase(from);
+    shift_begins(si + 1, jobs_.size(), -1);
   }
+  --stat.count;
+  stat.global_batch -= local_batch;
+  if (stat.count == 0) jobs_.erase(jobs_.begin() + static_cast<std::ptrdiff_t>(si));
+  order_valid_ = false;
 }
 
 void Assignment::place(GpuId gpu, JobId job, int local_batch) {
@@ -95,9 +133,7 @@ void Assignment::place(GpuId gpu, JobId job, int local_batch) {
       s.local_batch = local_batch;
       return;
     }
-    detach(s.job, gpu, s.local_batch);
-  } else {
-    erase_sorted(idle_, gpu);
+    detach(s.job, gpu, s.local_batch);  // healthy: via the idle prefix
   }
   s = Slot{job, local_batch, s.health};
   attach(job, gpu, local_batch);
@@ -108,27 +144,38 @@ void Assignment::clear(GpuId gpu) {
   Slot& s = slots_[static_cast<std::size_t>(gpu)];
   if (!s.occupied()) return;
   detach(s.job, gpu, s.local_batch);
-  if (s.healthy()) insert_sorted(idle_, gpu);
   s = Slot{kInvalidJob, 0, s.health};
 }
 
 int Assignment::evict(JobId job) {
-  const JobStat* stat = find_stat(job);
-  if (stat == nullptr) return 0;
-  const int freed = static_cast<int>(stat->gpus.size());
-  const std::size_t old_idle = idle_.size();
-  for (const GpuId g : stat->gpus) {
-    Slot& s = slots_[static_cast<std::size_t>(g)];
-    if (s.healthy()) idle_.push_back(g);
+  const std::size_t si = lower_stat(job);
+  if (si == jobs_.size() || jobs_[si].job != job) return 0;
+  const JobStat stat = jobs_[si];
+  // Rotate the job's list to just after the idle prefix, free its slots,
+  // drop its down GPUs and merge the rest (both halves ascending) into the
+  // idle prefix.
+  const auto idle_end = buf_.begin() + idle_count_;
+  const auto block_end = idle_end + stat.count;
+  std::rotate(idle_end, buf_.begin() + stat.begin, buf_.begin() + stat.begin + stat.count);
+  for (auto it = idle_end; it != block_end; ++it) {
+    Slot& s = slots_[static_cast<std::size_t>(*it)];
     s = Slot{kInvalidJob, 0, s.health};
   }
-  // Both halves are ascending: one merge instead of c_j binary inserts.
-  std::inplace_merge(idle_.begin(),
-                     idle_.begin() + static_cast<std::ptrdiff_t>(old_idle),
-                     idle_.end());
-  jobs_.erase(jobs_.begin() + (stat - jobs_.data()));
+  const auto kept_end = std::remove_if(idle_end, block_end, [&](GpuId g) {
+    return !slots_[static_cast<std::size_t>(g)].healthy();
+  });
+  const auto kept = static_cast<int>(kept_end - idle_end);
+  buf_.erase(kept_end, block_end);
+  std::inplace_merge(buf_.begin(), buf_.begin() + idle_count_,
+                     buf_.begin() + idle_count_ + kept);
+  idle_count_ += kept;
+  // Lists before the job's gained the kept GPUs ahead of them; lists after
+  // it lost the dropped ones.
+  shift_begins(0, si, kept);
+  shift_begins(si + 1, jobs_.size(), kept - stat.count);
+  jobs_.erase(jobs_.begin() + static_cast<std::ptrdiff_t>(si));
   order_valid_ = false;
-  return freed;
+  return stat.count;
 }
 
 void Assignment::set_health(GpuId gpu, SlotHealth health) {
@@ -137,12 +184,23 @@ void Assignment::set_health(GpuId gpu, SlotHealth health) {
   if (s.health == health) return;
   const bool was_healthy = s.healthy();
   s.health = health;
+  const auto idle_end = buf_.begin() + idle_count_;
   if (was_healthy && !s.healthy()) {
     insert_sorted(down_, gpu);
-    if (!s.occupied()) erase_sorted(idle_, gpu);
+    if (!s.occupied()) {
+      const auto it = std::lower_bound(buf_.begin(), idle_end, gpu);
+      ONES_EXPECT_MSG(it != idle_end && *it == gpu, "index entry missing");
+      buf_.erase(it);
+      --idle_count_;
+      shift_begins(0, jobs_.size(), -1);
+    }
   } else if (!was_healthy && s.healthy()) {
     erase_sorted(down_, gpu);
-    if (!s.occupied()) insert_sorted(idle_, gpu);
+    if (!s.occupied()) {
+      buf_.insert(std::lower_bound(buf_.begin(), idle_end, gpu), gpu);
+      ++idle_count_;
+      shift_begins(0, jobs_.size(), 1);
+    }
   }
   // Failed <-> Reclaimed: membership in both indexes is unchanged.
 }
@@ -176,28 +234,62 @@ void Assignment::sync_health(const Assignment& from) {
 Assignment Assignment::from_slots(std::vector<Slot> slots) {
   Assignment out;
   out.slots_ = std::move(slots);
-  JobStat* stat = nullptr;  // the previous slot's job: genomes keep workers adjacent
-  for (int g = 0; g < out.num_gpus(); ++g) {
-    const Slot& s = out.slots_[static_cast<std::size_t>(g)];
-    if (!s.healthy()) out.down_.push_back(g);
+  // Count first: idle and down GPUs, and the runs of adjacent workers of one
+  // job, which bound the number of jobs.
+  int idle = 0;
+  std::size_t down = 0;
+  std::size_t runs = 0;
+  JobId prev = kInvalidJob;
+  for (const Slot& s : out.slots_) {
+    if (!s.healthy()) ++down;
     if (!s.occupied()) {
       ONES_EXPECT_MSG(s.local_batch == 0, "idle slot carries a batch size");
-      if (s.healthy()) out.idle_.push_back(g);
+      if (s.healthy()) ++idle;
       continue;
     }
     ONES_EXPECT_MSG(s.local_batch >= 1, "a worker needs at least one sample per step");
     ONES_EXPECT_MSG(s.healthy(), "cannot place a worker on a down GPU");
+    if (s.job != prev) ++runs;
+    prev = s.job;
+  }
+  out.down_.reserve(down);
+  out.jobs_.reserve(runs);
+  out.order_.reserve(runs);
+  JobStat* stat = nullptr;  // the previous slot's job: genomes keep workers adjacent
+  for (int g = 0; g < out.num_gpus(); ++g) {
+    const Slot& s = out.slots_[static_cast<std::size_t>(g)];
+    if (!s.healthy()) out.down_.push_back(g);
+    if (!s.occupied()) continue;
     if (stat == nullptr || stat->job != s.job) stat = out.find_stat(s.job);
     if (stat == nullptr) {
       // First occurrence: the scan discovers jobs in running_jobs() order.
-      const auto it = std::lower_bound(
-          out.jobs_.begin(), out.jobs_.end(), s.job,
-          [](const JobStat& a, JobId j) { return a.job < j; });
-      stat = &*out.jobs_.insert(it, JobStat{s.job, 0, {}});
+      const std::size_t at = out.lower_stat(s.job);
+      stat = &*out.jobs_.insert(out.jobs_.begin() + static_cast<std::ptrdiff_t>(at),
+                                JobStat{s.job, 0, 0, 0});
       out.order_.push_back(s.job);
     }
     stat->global_batch += s.local_batch;
-    stat->gpus.push_back(g);  // g ascending: stays sorted
+    ++stat->count;
+  }
+  // Then fill: each job's list starts where the previous one ends.
+  int begin = idle;
+  for (JobStat& st : out.jobs_) {
+    st.begin = begin;
+    begin += st.count;
+    st.count = 0;
+  }
+  out.buf_.resize(static_cast<std::size_t>(begin));
+  out.idle_count_ = idle;
+  int next_idle = 0;
+  stat = nullptr;
+  for (int g = 0; g < out.num_gpus(); ++g) {
+    const Slot& s = out.slots_[static_cast<std::size_t>(g)];
+    if (!s.occupied()) {
+      if (s.healthy()) out.buf_[static_cast<std::size_t>(next_idle++)] = g;
+      continue;
+    }
+    if (stat == nullptr || stat->job != s.job) stat = out.find_stat(s.job);
+    out.buf_[static_cast<std::size_t>(stat->begin + stat->count++)] = g;  // g ascending
   }
   out.order_valid_ = true;
   return out;
@@ -227,13 +319,13 @@ int Assignment::global_batch(JobId job) const {
 
 int Assignment::gpu_count(JobId job) const {
   const JobStat* stat = find_stat(job);
-  return stat != nullptr ? static_cast<int>(stat->gpus.size()) : 0;
+  return stat != nullptr ? stat->count : 0;
 }
 
 std::span<const GpuId> Assignment::gpus_of(JobId job) const {
   const JobStat* stat = find_stat(job);
   if (stat == nullptr) return {};
-  return stat->gpus;
+  return {buf_.data() + stat->begin, static_cast<std::size_t>(stat->count)};
 }
 
 std::span<const JobId> Assignment::running_jobs() const {
@@ -242,7 +334,9 @@ std::span<const JobId> Assignment::running_jobs() const {
     // job's lowest-numbered GPU (two jobs cannot share a GPU).
     std::vector<std::pair<GpuId, JobId>> by_front;
     by_front.reserve(jobs_.size());
-    for (const JobStat& s : jobs_) by_front.emplace_back(s.gpus.front(), s.job);
+    for (const JobStat& s : jobs_) {
+      by_front.emplace_back(buf_[static_cast<std::size_t>(s.begin)], s.job);
+    }
     std::sort(by_front.begin(), by_front.end());
     order_.clear();
     for (const auto& [front, job] : by_front) order_.push_back(job);
@@ -251,15 +345,11 @@ std::span<const JobId> Assignment::running_jobs() const {
   return order_;
 }
 
-int Assignment::idle_count() const { return static_cast<int>(idle_.size()); }
-
 bool Assignment::same_placement(const Assignment& other, JobId job) const {
-  const JobStat* a = find_stat(job);
-  const JobStat* b = other.find_stat(job);
-  if ((a == nullptr) != (b == nullptr)) return false;
-  if (a == nullptr) return true;
-  if (a->gpus != b->gpus) return false;
-  for (const GpuId g : a->gpus) {
+  const auto mine = gpus_of(job);
+  const auto theirs = other.gpus_of(job);
+  if (!std::equal(mine.begin(), mine.end(), theirs.begin(), theirs.end())) return false;
+  for (const GpuId g : mine) {
     if (slots_[static_cast<std::size_t>(g)].local_batch !=
         other.slots_[static_cast<std::size_t>(g)].local_batch) {
       return false;
@@ -297,9 +387,14 @@ void Assignment::check_invariants() const {
 }
 
 void Assignment::audit_indexes() const {
+  struct Expected {
+    JobId job;
+    int global_batch;
+    std::vector<GpuId> gpus;
+  };
   std::vector<GpuId> idle;
   std::vector<GpuId> down;
-  std::vector<JobStat> jobs;
+  std::vector<Expected> jobs;
   std::vector<JobId> order;
   for (int g = 0; g < num_gpus(); ++g) {
     const Slot& s = slots_[static_cast<std::size_t>(g)];
@@ -310,26 +405,35 @@ void Assignment::audit_indexes() const {
     }
     const auto it = std::lower_bound(
         jobs.begin(), jobs.end(), s.job,
-        [](const JobStat& a, JobId j) { return a.job < j; });
+        [](const Expected& a, JobId j) { return a.job < j; });
     if (it == jobs.end() || it->job != s.job) {
-      jobs.insert(it, JobStat{s.job, s.local_batch, {g}});
+      jobs.insert(it, Expected{s.job, s.local_batch, {g}});
       order.push_back(s.job);
     } else {
       it->global_batch += s.local_batch;
       it->gpus.push_back(g);  // g ascending: stays sorted
     }
   }
-  ONES_EXPECT_MSG(idle == idle_, "idle-GPU index diverged from the slot array");
+  const auto idle_view = idle_gpus();
+  ONES_EXPECT_MSG(std::equal(idle.begin(), idle.end(), idle_view.begin(), idle_view.end()),
+                  "idle-GPU index diverged from the slot array");
   ONES_EXPECT_MSG(down == down_, "down-GPU index diverged from the slot array");
   ONES_EXPECT_MSG(jobs.size() == jobs_.size(),
                   "job index has the wrong number of entries");
+  int begin = idle_count_;  // the job lists tile buf_ after the idle prefix
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     ONES_EXPECT_MSG(jobs[i].job == jobs_[i].job, "job index diverged: wrong job");
     ONES_EXPECT_MSG(jobs[i].global_batch == jobs_[i].global_batch,
                     "job index diverged: stale global batch");
-    ONES_EXPECT_MSG(jobs[i].gpus == jobs_[i].gpus,
+    ONES_EXPECT_MSG(jobs_[i].begin == begin, "job index diverged: misplaced GPU list");
+    const auto gpus = gpus_of(jobs_[i].job);
+    ONES_EXPECT_MSG(std::equal(jobs[i].gpus.begin(), jobs[i].gpus.end(), gpus.begin(),
+                               gpus.end()),
                     "job index diverged: stale GPU list");
+    begin += jobs_[i].count;
   }
+  ONES_EXPECT_MSG(begin == static_cast<int>(buf_.size()),
+                  "GPU-list buffer holds entries no index owns");
   if (order_valid_) {
     ONES_EXPECT_MSG(order == order_, "running-job order cache diverged");
   }

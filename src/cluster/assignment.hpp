@@ -13,11 +13,14 @@
 // loops, so O(G) rescans there are what made 10k-GPU clusters infeasible.
 // The indexes are flat sorted vectors — no unordered containers, so
 // iteration order is deterministic by construction (tools/ones_lint R2).
+// The idle list and every job's GPU list share one buffer, so copying a
+// genome costs a fixed handful of allocations whatever its job count.
 // The list views (gpus_of, running_jobs, idle_gpus) are spans into those
 // indexes: valid until the next mutation, so a caller that mutates the
 // assignment while iterating one takes a copy first.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -115,8 +118,10 @@ class Assignment {
   /// Healthy GPUs with no worker, ascending (down GPUs are never idle:
   /// schedulers read capacity exclusively through this index, which is what
   /// masks them). Valid until the next mutation.
-  std::span<const GpuId> idle_gpus() const { return idle_; }
-  int idle_count() const;
+  std::span<const GpuId> idle_gpus() const {
+    return {buf_.data(), static_cast<std::size_t>(idle_count_)};
+  }
+  int idle_count() const { return idle_count_; }
 
   /// True iff `job` occupies the same GPUs with the same local batches in
   /// both schedules (also true when it is absent from both). This is the
@@ -143,32 +148,45 @@ class Assignment {
   void audit_indexes() const;
 
  private:
-  /// Per-job index entry. `gpus` is ascending; `global_batch` is the sum of
-  /// the member slots' local batches.
+  /// Per-job index entry: the job's GPUs are buf_[begin, begin + count),
+  /// ascending; `global_batch` is the sum of their slots' local batches.
   struct JobStat {
     JobId job = kInvalidJob;
     int global_batch = 0;
-    std::vector<GpuId> gpus;
+    int begin = 0;
+    int count = 0;
   };
 
-  /// jobs_ position of `job`, or nullptr if it holds no GPU (binary search:
+  /// Position of the first JobStat whose job is not below `job`.
+  std::size_t lower_stat(JobId job) const;
+  /// jobs_ entry of `job`, or nullptr if it holds no GPU (binary search:
   /// jobs_ is sorted by JobId).
   const JobStat* find_stat(JobId job) const;
   JobStat* find_stat(JobId job);
-  /// Add `gpu` (running `local_batch`) to the job's stat, creating it if the
-  /// job was not placed anywhere.
+  /// Move idle `gpu` into the job's GPU list (running `local_batch`),
+  /// creating the job's entry if it was not placed anywhere.
   void attach(JobId job, GpuId gpu, int local_batch);
-  /// Remove `gpu` from the job's stat, dropping the stat when it empties.
+  /// Remove `gpu` from the job's GPU list: back into the idle prefix if the
+  /// GPU is healthy, out of buf_ if it is down. Drops the entry when it
+  /// empties.
   void detach(JobId job, GpuId gpu, int local_batch);
+  /// Add `delta` to the `begin` of jobs_[first, last).
+  void shift_begins(std::size_t first, std::size_t last, int delta);
 
   std::vector<Slot> slots_;
-  std::vector<GpuId> idle_;     ///< ascending; healthy AND unoccupied only
+  /// One buffer for every GPU list: [idle GPUs ascending | each job's GPUs
+  /// ascending, jobs in JobId order]. Idle GPUs are healthy and unoccupied;
+  /// down GPUs appear only while a worker still occupies them.
+  std::vector<GpuId> buf_;
   std::vector<GpuId> down_;     ///< ascending; health != Healthy
   std::vector<JobStat> jobs_;   ///< ascending by JobId
   /// running_jobs() cache: jobs_ ordered by lowest GPU, valid while
   /// `order_valid_`; attach/detach/evict invalidate it.
   mutable std::vector<JobId> order_;
   mutable bool order_valid_ = false;
+  /// Length of buf_'s idle prefix. Kept in the padding after order_valid_:
+  /// sizeof(Assignment) stays 128 bytes (DESIGN.md §12.2 says why).
+  int idle_count_ = 0;
 };
 
 /// Difference between two schedules, used to charge scaling costs only to

@@ -30,31 +30,12 @@ double EvolutionContext::expected_remaining(const sched::JobView& job) const {
 
 namespace {
 
-/// A copy of the candidate's job order, for loops that mutate the candidate
-/// (which invalidates the running_jobs() view).
-std::vector<JobId> running_copy(const cluster::Assignment& candidate) {
-  const auto jobs = candidate.running_jobs();
-  return {jobs.begin(), jobs.end()};
-}
-
-/// Remove completed (or unknown) jobs from a candidate.
-void drop_finished(cluster::Assignment& candidate, const EvolutionContext& ctx) {
-  std::vector<JobId> finished;
-  for (JobId j : candidate.running_jobs()) {
-    const sched::JobView* v = ctx.state->job(j);
-    if (v == nullptr || v->status == sched::JobStatus::Completed) finished.push_back(j);
-  }
-  for (JobId j : finished) candidate.evict(j);
-}
-
 /// Keep only the first `c` GPUs of `job`.
 void trim(cluster::Assignment& candidate, JobId job, int c) {
-  if (candidate.gpu_count(job) <= c) return;
-  const auto placed = candidate.gpus_of(job);
-  // A copy: clearing GPUs rewrites (or, at c == 0, drops) the job's list.
-  const std::vector<GpuId> gpus(placed.begin(), placed.end());
-  for (std::size_t i = gpus.size(); i-- > static_cast<std::size_t>(c);) {
-    candidate.clear(gpus[i]);
+  // Clear from the highest GPU down. Each clear rewrites (or, at c == 0,
+  // drops) the job's list, so it is read afresh every time.
+  for (int have = candidate.gpu_count(job); have > c; --have) {
+    candidate.clear(candidate.gpus_of(job).back());
   }
 }
 
@@ -98,12 +79,13 @@ struct FillPrice {
   double spread_x2 = 0.0;
 };
 
-/// Buffers of fill_idle and score, reused so that neither allocates once
-/// warm. Nothing is read across calls: prices carry the stamp of the call
-/// that computed them, and the lists are cleared on entry. One set per
-/// thread, not per Evolution: a call uses them only while it runs, and the
-/// scheduler object keeps its size (perfbench's `ones_32gpu` set-up time
-/// swings with that size through glibc heap trimming; ROADMAP.md).
+/// Buffers of fill_idle, score and the job-list helpers, reused so that
+/// none of them allocates once warm. Nothing is read across calls: prices
+/// carry the stamp of the call that computed them, and the lists are
+/// cleared on entry. One set per thread, not per Evolution: a call uses
+/// them only while it runs, and the scheduler object keeps its size
+/// (perfbench's `ones_32gpu` set-up time swings with that size through
+/// glibc heap trimming; ROADMAP.md).
 struct Scratch {
   std::vector<FillPrice> prices;  ///< by JobId
   std::uint64_t stamp = 0;
@@ -111,8 +93,28 @@ struct Scratch {
   std::vector<FillAction> actions;
   std::vector<double> weights;
   std::vector<int> batches;       ///< score's per-job local batches
+  std::vector<JobId> running;     ///< running_copy's job order
+  std::vector<JobId> finished;    ///< drop_finished's evictions
 };
 thread_local Scratch scratch;
+
+/// A copy of the candidate's job order, for loops that mutate the candidate
+/// (which invalidates the running_jobs() view). Valid until the next call.
+const std::vector<JobId>& running_copy(const cluster::Assignment& candidate) {
+  const auto jobs = candidate.running_jobs();
+  scratch.running.assign(jobs.begin(), jobs.end());
+  return scratch.running;
+}
+
+/// Remove completed (or unknown) jobs from a candidate.
+void drop_finished(cluster::Assignment& candidate, const EvolutionContext& ctx) {
+  scratch.finished.clear();
+  for (JobId j : candidate.running_jobs()) {
+    const sched::JobView* v = ctx.state->job(j);
+    if (v == nullptr || v->status == sched::JobStatus::Completed) scratch.finished.push_back(j);
+  }
+  for (JobId j : scratch.finished) candidate.evict(j);
+}
 
 /// The current fill_idle call's price of running job `job`, computed on
 /// first use.
@@ -540,7 +542,11 @@ void Evolution::step(const EvolutionContext& ctx) {
     }
   }
 
-  std::vector<cluster::Assignment> cands = population_;
+  // The refreshed population moves in as the first candidates; parents are
+  // read from that prefix. Candidate order (population, incumbent, crossover
+  // pairs, mutants) fixes how selection breaks score ties.
+  const std::size_t parents = population_.size();
+  std::vector<cluster::Assignment> cands = std::move(population_);
   cands.reserve(4 * k + 1);
 
   std::optional<prof::Scope> offspring_span;
@@ -554,15 +560,15 @@ void Evolution::step(const EvolutionContext& ctx) {
     cands.push_back(std::move(incumbent));
   }
 
-  if (config_.use_crossover && population_.size() >= 2) {
-    const auto pick = [&] {
-      return static_cast<std::size_t>(
-          rng_.uniform_int(0, static_cast<std::int64_t>(population_.size()) - 1));
-    };
+  const auto pick = [&] {
+    return static_cast<std::size_t>(
+        rng_.uniform_int(0, static_cast<std::int64_t>(parents) - 1));
+  };
+  if (config_.use_crossover && parents >= 2) {
     for (std::size_t i = 0; i < k; ++i) {
       std::size_t a = pick(), b = pick();
-      if (a == b) b = (b + 1) % population_.size();
-      auto [c1, c2] = crossover(population_[a], population_[b]);
+      if (a == b) b = (b + 1) % parents;
+      auto [c1, c2] = crossover(cands[a], cands[b]);
       ++crossovers;
       repair(c1, ctx);
       fill_idle(c1, ctx);
@@ -578,10 +584,9 @@ void Evolution::step(const EvolutionContext& ctx) {
     }
   }
 
-  if (config_.use_mutation && !population_.empty()) {
+  if (config_.use_mutation && parents > 0) {
     for (std::size_t i = 0; i < k; ++i) {
-      cluster::Assignment m = population_[static_cast<std::size_t>(
-          rng_.uniform_int(0, static_cast<std::int64_t>(population_.size()) - 1))];
+      cluster::Assignment m = cands[pick()];
       mutate(m, ctx);
       ++mutations;
       repair(m, ctx);

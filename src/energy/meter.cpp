@@ -1,5 +1,7 @@
 #include "energy/meter.hpp"
 
+#include <algorithm>
+
 #include "common/expect.hpp"
 
 namespace ones::energy {
@@ -56,18 +58,18 @@ void EnergyMeter::rescan(const cluster::Assignment& next) {
     const model::TaskProfile* profile = profile_of_(job);
     ONES_EXPECT_MSG(profile != nullptr, "no task profile for a placed job");
     const auto gpus = next.gpus_of(job);
-    std::vector<int> batches;
-    batches.reserve(gpus.size());
-    for (GpuId g : gpus) batches.push_back(next.slot(g).local_batch);
+    batches_.clear();
+    for (GpuId g : gpus) batches_.push_back(next.slot(g).local_batch);
     const cluster::LinkProfile link = topology_->link_profile(gpus);
     double job_w = 0.0;
     for (std::size_t i = 0; i < gpus.size(); ++i) {
-      const double w = model_->worker_watts(*profile, batches, i, link);
+      const double w = model_->worker_watts(*profile, batches_, i, link);
       watts_by_node_[static_cast<std::size_t>(topology_->node_of(gpus[i]))] += w;
       job_w += w;
     }
-    watts_by_job_.emplace(job, job_w);
+    watts_by_job_.emplace_back(job, job_w);
   }
+  std::sort(watts_by_job_.begin(), watts_by_job_.end());  // JobIds are distinct
 
   const double idle = model_->idle_gpu_watts();
   for (GpuId g : next.idle_gpus()) {

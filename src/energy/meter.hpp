@@ -25,6 +25,7 @@
 
 #include <functional>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "cluster/assignment.hpp"
@@ -89,7 +90,10 @@ class EnergyMeter {
   double last_t_ = 0.0;
   double cluster_watts_ = 0.0;
   double overhead_watts_ = 0.0;
-  std::map<JobId, double> watts_by_job_;
+  /// Current draw of each running job, ascending by JobId (the order every
+  /// sum over jobs runs in, so joules do not depend on placement order).
+  std::vector<std::pair<JobId, double>> watts_by_job_;
+  std::vector<int> batches_;  ///< rescan's per-job local batches
   std::vector<double> watts_by_node_;
 
   double cluster_joules_ = 0.0;

@@ -10,7 +10,8 @@ std::optional<cluster::Assignment> FifoScheduler::on_event(const ClusterState& s
 
   cluster::Assignment next = *state.current;
   bool changed = false;
-  for (const JobView* job : state.waiting_jobs()) {  // arrival order
+  for (const JobView* job : state.active_jobs()) {  // arrival order
+    if (job->status != JobStatus::Waiting) continue;
     // No free GPU means no placement can succeed for any queued job —
     // identical decisions to trying (and failing) each one in turn.
     if (next.idle_count() == 0) break;

@@ -14,6 +14,14 @@
 namespace ones::cluster {
 namespace {
 
+// Held on purpose, not for tidiness: perfbench's `ones_32gpu` set-up time
+// follows the size of the schedule objects it frees, through glibc's heap
+// trimming (ROADMAP item 5), although set-up runs no Assignment code that
+// changed. One extra vector member made set-up about 5x slower. Delete
+// this once perfbench pins the allocator's trim and mmap thresholds.
+static_assert(sizeof(Assignment) == 128,
+              "Assignment changed size: re-measure perfbench setup_s (ROADMAP item 5)");
+
 template <typename T>
 std::vector<T> as_vector(std::span<const T> view) {
   return {view.begin(), view.end()};
