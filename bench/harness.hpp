@@ -6,8 +6,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -16,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/atomic_file.hpp"
 #include "common/host.hpp"
 #include "common/json.hpp"
 #include "core/ones_scheduler.hpp"
@@ -233,7 +232,8 @@ inline void print_cache_footer(const telemetry::MetricsRegistry& registry) {
 /// statistics registry and — via `profile()` wired into
 /// `GridOptions::prof` — the merged host-span rollup. On destruction it
 /// prints the stderr footer (wall-clock, peak RSS, span table) and writes
-/// `BENCH_<name>.json` (or `--bench-json=PATH`) via temp-file + rename.
+/// `BENCH_<name>.json` (or `--bench-json=PATH`) via
+/// `common::write_file_atomically`.
 /// Deterministic metric values are strictly separated from host noise: the
 /// `metrics` object must be byte-stable across runs and thread counts, while
 /// everything under `host` (and the profile nanoseconds) is wall-clock.
@@ -291,11 +291,7 @@ class BenchReport {
 
  private:
   void write_json(double wall_s, double rss_mib) const {
-    namespace fs = std::filesystem;
-    const std::string tmp = path_ + ".tmp";
-    {
-      std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-      if (!out) throw std::runtime_error("cannot open temp file");
+    common::write_file_atomically(path_, [&](std::ostream& out) {
       out << "{\"schema\":1,\"bench\":" << json_quote(name_)
           << ",\"threads\":" << threads_ << ",\"seeds\":" << seeds_;
       out << ",\n\"metrics\":{";
@@ -309,18 +305,10 @@ class BenchReport {
         write_map(out, cache_);
         out << "}";
       }
-      out << ",\n\"profile\":[";
-      bool first = true;
-      for (const prof::SpanStats& s : profile_.stats()) {
-        out << (first ? "\n" : ",\n") << "{\"path\":" << json_quote(s.path)
-            << ",\"count\":" << s.count << ",\"total_ns\":" << s.total_ns
-            << ",\"self_ns\":" << s.self_ns << '}';
-        first = false;
-      }
-      out << "\n]}\n";
-      if (!out.good()) throw std::runtime_error("write failed");
-    }
-    fs::rename(tmp, path_);
+      out << ",\n\"profile\":";
+      prof::write_spans_json(out, profile_.stats());
+      out << "}\n";
+    });
   }
 
   static void write_map(std::ostream& out, const std::map<std::string, double>& m) {

@@ -16,9 +16,9 @@
 //
 // Pass --prof-dir=PATH to also collect host-time profiler spans per run
 // (quickstart_ones.prof.json / quickstart_fifo.prof.json and a stderr span
-// table — DESIGN.md §14); with --trace-dir the spans additionally merge
-// into the .trace.json as a wall-clock track. None of the flags changes the
-// simulated results.
+// table with p50/p90/max per span — DESIGN.md §14); with --trace-dir the
+// spans additionally merge into the .trace.json as a wall-clock track. None
+// of the flags changes the simulated results.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -96,9 +96,6 @@ int main(int argc, char** argv) {
     sim.run();
     if (!metrics_dir.empty()) {
       telemetry::write_metrics_files(registry, metrics_dir, "quickstart_ones");
-      // Host-scope (wall-clock) instruments are stderr-only by contract.
-      std::fprintf(stderr, "[host metrics] quickstart_ones\n%s",
-                   telemetry::format_host_metrics(registry).c_str());
     }
     if (profiler) {
       // Merge the host-span track into the Chrome trace only; the golden
@@ -136,8 +133,6 @@ int main(int argc, char** argv) {
     sim.run();
     if (!metrics_dir.empty()) {
       telemetry::write_metrics_files(registry, metrics_dir, "quickstart_fifo");
-      std::fprintf(stderr, "[host metrics] quickstart_fifo\n%s",
-                   telemetry::format_host_metrics(registry).c_str());
     }
     if (profiler) {
       if (writer) {

@@ -1,13 +1,11 @@
 #include "exp/cache.hpp"
 
-#include <unistd.h>
-
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <utility>
 
+#include "common/atomic_file.hpp"
 #include "common/log.hpp"
 
 namespace ones::exp {
@@ -49,19 +47,9 @@ void ResultCache::store(const RunSpec& spec, const RunResult& result) const {
   const std::string final_path = path_for(spec);
   try {
     fs::create_directories(dir_);
-    // Unique temp name per store (hash of key + a counter via the atomic) so
-    // concurrent stores never clobber each other's partial writes; rename is
-    // atomic within a filesystem, so readers only ever see complete files.
-    const std::string tmp_path =
-        final_path + ".tmp" + std::to_string(stores_.fetch_add(1)) + "." +
-        std::to_string(static_cast<unsigned long>(::getpid()));
-    {
-      std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
-      if (!out) throw std::runtime_error("cannot open " + tmp_path);
-      out << result_to_json(result) << '\n';
-      if (!out) throw std::runtime_error("short write to " + tmp_path);
-    }
-    fs::rename(tmp_path, final_path);
+    stores_.fetch_add(1);
+    common::write_file_atomically(
+        final_path, [&](std::ostream& out) { out << result_to_json(result) << '\n'; });
   } catch (const std::exception& e) {
     ONES_LOG(Warn) << "failed to store cache entry " << final_path << ": " << e.what();
   }

@@ -1,33 +1,62 @@
 #include "prof/export.hpp"
 
-#include <atomic>
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
-#include <stdexcept>
 
+#include "common/atomic_file.hpp"
 #include "common/json.hpp"
 
 namespace ones::prof {
 
 namespace fs = std::filesystem;
 
+namespace {
+
+/// q-quantile of a span's durations in nanoseconds: linear interpolation
+/// inside the log2 bucket that holds rank q * count, with the bucket's upper
+/// edge capped at `max_ns` (the telemetry::Histogram::quantile rule). 0 when
+/// the span never ran.
+double quantile_ns(const SpanStats& s, double q) {
+  const double rank = q * static_cast<double>(s.count);
+  double seen = 0.0;
+  for (std::size_t b = 0; b < s.buckets.size(); ++b) {
+    const double in_bucket = static_cast<double>(s.buckets[b]);
+    if (in_bucket == 0.0) continue;
+    if (seen + in_bucket >= rank) {
+      const double lo = b == 0 ? 0.0 : std::ldexp(1.0, static_cast<int>(b) - 1);
+      const double hi = std::max(
+          lo, std::min(std::ldexp(1.0, static_cast<int>(b)), static_cast<double>(s.max_ns)));
+      return lo + (hi - lo) * (rank - seen) / in_bucket;
+    }
+    seen += in_bucket;
+  }
+  return static_cast<double>(s.max_ns);
+}
+
+}  // namespace
+
 std::string format_profile(const std::vector<SpanStats>& stats) {
-  std::string out = "[prof] span                                     count     total(ms)      self(ms)\n";
-  char line[256];
+  std::string out =
+      "[prof] span                                     count     total(ms)      self(ms)"
+      "      p50(us)      p90(us)      max(us)\n";
+  char line[320];
   for (const SpanStats& s : stats) {
-    std::snprintf(line, sizeof(line), "[prof] %-40s %9llu %13.3f %13.3f\n",
-                  s.path.c_str(), static_cast<unsigned long long>(s.count),
-                  static_cast<double>(s.total_ns) / 1e6,
-                  static_cast<double>(s.self_ns) / 1e6);
+    std::snprintf(line, sizeof(line),
+                  "[prof] %-40s %9llu %13.3f %13.3f %12.3f %12.3f %12.3f\n", s.path.c_str(),
+                  static_cast<unsigned long long>(s.count),
+                  static_cast<double>(s.total_ns) / 1e6, static_cast<double>(s.self_ns) / 1e6,
+                  quantile_ns(s, 0.50) / 1e3, quantile_ns(s, 0.90) / 1e3,
+                  static_cast<double>(s.max_ns) / 1e3);
     out += line;
   }
   return out;
 }
 
-void write_profile_json(std::ostream& out, const std::vector<SpanStats>& stats) {
-  out << "{\"schema\":1,\"spans\":[";
+void write_spans_json(std::ostream& out, const std::vector<SpanStats>& stats) {
+  out << '[';
   bool first = true;
   for (const SpanStats& s : stats) {
     out << (first ? "\n" : ",\n");
@@ -35,32 +64,20 @@ void write_profile_json(std::ostream& out, const std::vector<SpanStats>& stats) 
     out << "{\"path\":" << json_quote(s.path) << ",\"count\":" << s.count
         << ",\"total_ns\":" << s.total_ns << ",\"self_ns\":" << s.self_ns << '}';
   }
-  out << "\n]}\n";
+  out << "\n]";
 }
 
-namespace {
-
-/// Distinguishes concurrent writers targeting the same final path (identical
-/// duplicate specs in one grid); the value never reaches the profile bytes.
-std::string unique_tmp_suffix() {
-  static std::atomic<std::uint64_t> counter{0};
-  return ".tmp" + std::to_string(counter.fetch_add(1, std::memory_order_relaxed));
+void write_profile_json(std::ostream& out, const std::vector<SpanStats>& stats) {
+  out << "{\"schema\":1,\"spans\":";
+  write_spans_json(out, stats);
+  out << "}\n";
 }
-
-}  // namespace
 
 void write_profile_file(const std::string& dir, const std::string& stem,
                         const std::vector<SpanStats>& stats) {
   fs::create_directories(dir);
-  const std::string path = (fs::path(dir) / (stem + ".prof.json")).string();
-  const std::string tmp = path + unique_tmp_suffix();
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) throw std::runtime_error("cannot open profile file under '" + dir + "'");
-    write_profile_json(out, stats);
-    if (!out.good()) throw std::runtime_error("failed writing '" + tmp + "'");
-  }
-  fs::rename(tmp, path);
+  common::write_file_atomically((fs::path(dir) / (stem + ".prof.json")).string(),
+                                [&](std::ostream& out) { write_profile_json(out, stats); });
 }
 
 std::vector<std::string> chrome_span_events(const Profiler& profiler) {

@@ -11,20 +11,24 @@
 
 namespace ones::prof {
 
-/// Human-readable span table (counts, total/self milliseconds), one line per
-/// span path, each prefixed "[prof] ". For stderr: host times are wall-clock
-/// noise and must never reach the byte-stable metric stdout.
+/// Human-readable span table (count, total/self milliseconds, and p50/p90/
+/// max microseconds from the log2 histogram), one line per span path, each
+/// prefixed "[prof] ". For stderr: host times are wall-clock noise and must
+/// never reach the byte-stable metric stdout.
 std::string format_profile(const std::vector<SpanStats>& stats);
 
-/// Deterministic-layout profile JSON:
-///   {"schema":1,"spans":[{"path":...,"count":N,"total_ns":N,"self_ns":N},...]}
+/// The span array `[{"path":...,"count":N,"total_ns":N,"self_ns":N},...]`,
+/// shared by the profile file and the BENCH_*.json "profile" array.
+void write_spans_json(std::ostream& out, const std::vector<SpanStats>& stats);
+
+/// Deterministic-layout profile JSON: `{"schema":1,"spans":<span array>}`.
 /// Span paths and counts are reproducible; the nanosecond fields are host
 /// measurements.
 void write_profile_json(std::ostream& out, const std::vector<SpanStats>& stats);
 
-/// Write `<dir>/<stem>.prof.json` (creating `dir` if needed) via a unique
-/// temp file renamed into place, the trace/metrics exporter convention: an
-/// interrupted run never leaves a file that looks complete.
+/// Write `<dir>/<stem>.prof.json` (creating `dir` if needed) through
+/// `common::write_file_atomically`: an interrupted run never leaves a file
+/// that looks complete.
 void write_profile_file(const std::string& dir, const std::string& stem,
                         const std::vector<SpanStats>& stats);
 

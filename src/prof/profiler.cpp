@@ -1,5 +1,7 @@
 #include "prof/profiler.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <chrono>
 
 #include "common/expect.hpp"
@@ -51,6 +53,8 @@ void Profiler::exit(std::size_t node, std::uint64_t start_ns) {
   Node& n = nodes_[node];
   ++n.count;
   n.total_ns += dur;
+  n.max_ns = std::max(n.max_ns, dur);
+  ++n.buckets[std::min<std::size_t>(std::bit_width(dur), SpanStats::kBuckets - 1)];
   nodes_[n.parent].child_ns += dur;
   current_ = n.parent;
   if (timeline_cap_ > 0) {
@@ -76,6 +80,8 @@ void Profiler::append_stats(std::size_t node, const std::string& prefix,
     s.count = n.count;
     s.total_ns = n.total_ns;
     s.self_ns = n.total_ns >= n.child_ns ? n.total_ns - n.child_ns : 0;
+    s.max_ns = n.max_ns;
+    s.buckets = n.buckets;
     out.push_back(std::move(s));
   }
   // std::map children: lexicographic order, so the flattened list is sorted
@@ -101,19 +107,20 @@ std::string Profiler::path_of(std::size_t node) const {
 
 void ProfileRollup::add(const std::vector<SpanStats>& stats) {
   for (const SpanStats& s : stats) {
-    Agg& agg = by_path_[s.path];
+    SpanStats& agg = by_path_[s.path];
+    agg.path = s.path;
     agg.count += s.count;
     agg.total_ns += s.total_ns;
     agg.self_ns += s.self_ns;
+    agg.max_ns = std::max(agg.max_ns, s.max_ns);
+    for (std::size_t b = 0; b < SpanStats::kBuckets; ++b) agg.buckets[b] += s.buckets[b];
   }
 }
 
 std::vector<SpanStats> ProfileRollup::stats() const {
   std::vector<SpanStats> out;
   out.reserve(by_path_.size());
-  for (const auto& [path, agg] : by_path_) {
-    out.push_back({path, agg.count, agg.total_ns, agg.self_ns});
-  }
+  for (const auto& [path, agg] : by_path_) out.push_back(agg);
   return out;
 }
 

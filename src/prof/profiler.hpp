@@ -10,16 +10,17 @@
 // cache-key input.
 //
 // Aggregation is BY SPAN PATH — the '/'-joined chain of enclosing span
-// names — never by thread or timestamp. Counts and durations are exact
-// uint64 nanosecond sums, so merging per-thread (or per-run) profiles is
-// associative and commutative: the merged span paths and counts are
-// bit-identical for any `--threads` value; only the nanosecond magnitudes
-// are host noise.
+// names — never by thread or timestamp. Counts, durations and the per-span
+// log2 latency histogram are exact uint64 sums (plus a max), so merging
+// per-thread (or per-run) profiles is associative and commutative: the
+// merged span paths and counts are bit-identical for any `--threads` value;
+// only the nanosecond magnitudes are host noise.
 //
 // A Profiler instance is single-threaded (one per run / per pool worker,
 // the MetricsRegistry ownership model); ProfileRollup merges many.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -30,12 +31,19 @@
 namespace ones::prof {
 
 /// Aggregated statistics of one span path. `self_ns` is total time minus
-/// the time spent in enclosed (child) spans, saturated at zero.
+/// the time spent in enclosed (child) spans, saturated at zero. `buckets`
+/// is a log2 latency histogram: bucket b counts spans whose duration has
+/// bit width b, i.e. lies in [2^(b-1), 2^b) ns (bucket 0: 0 ns; the last
+/// bucket also takes anything longer).
 struct SpanStats {
+  static constexpr std::size_t kBuckets = 64;
+
   std::string path;
   std::uint64_t count = 0;
   std::uint64_t total_ns = 0;
   std::uint64_t self_ns = 0;
+  std::uint64_t max_ns = 0;
+  std::array<std::uint64_t, kBuckets> buckets{};
 };
 
 class Profiler {
@@ -94,6 +102,8 @@ class Profiler {
     std::uint64_t count = 0;
     std::uint64_t total_ns = 0;
     std::uint64_t child_ns = 0;
+    std::uint64_t max_ns = 0;
+    std::array<std::uint64_t, SpanStats::kBuckets> buckets{};
   };
 
   void append_stats(std::size_t node, const std::string& prefix,
@@ -131,8 +141,9 @@ class Scope {
 };
 
 /// Order-independent merge of per-thread / per-run profiles, keyed by span
-/// path. Integer sums make `add` associative and commutative, which is the
-/// whole determinism argument for profiling under the exp thread pool.
+/// path. Integer sums (and the max of `max_ns`) make `add` associative and
+/// commutative, which is the whole determinism argument for profiling under
+/// the exp thread pool.
 class ProfileRollup {
  public:
   void add(const Profiler& profiler) { add(profiler.stats()); }
@@ -143,12 +154,7 @@ class ProfileRollup {
   bool empty() const { return by_path_.empty(); }
 
  private:
-  struct Agg {
-    std::uint64_t count = 0;
-    std::uint64_t total_ns = 0;
-    std::uint64_t self_ns = 0;
-  };
-  std::map<std::string, Agg> by_path_;
+  std::map<std::string, SpanStats> by_path_;
 };
 
 }  // namespace ones::prof

@@ -1,7 +1,6 @@
 #include "sched/simulation.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 
 #include "cluster/fragmentation.hpp"
@@ -12,12 +11,6 @@
 namespace ones::sched {
 
 namespace {
-
-/// Bucket bounds (seconds) for the per-decision scheduler host-time
-/// histogram. Host scope: wall-clock, surfaced on stderr only, never in a
-/// file export — the ScopedTimer convention.
-const std::vector<double> kDecisionHostBounds = {1e-6, 1e-5, 1e-4, 1e-3,
-                                                 1e-2, 1e-1, 1.0};
 
 /// Sim-time seconds from failure to the recovered job producing again.
 const std::vector<double> kRecoveryLatencyBounds = {1.0,   10.0,  30.0,  60.0,
@@ -585,27 +578,14 @@ void ClusterSimulation::notify(EventKind kind, JobId job) {
                       .detail = event_name(kind)});
   }
   in_notify_ = true;
-  // Per-event-kind decision span ("decision/JobArrival", ... — DESIGN.md
+  // Per-event-kind decision span ("decision/arrival", ... — DESIGN.md
   // §14); everything the policy does (evolution steps, predictor fits)
   // nests underneath.
   const prof::Scope decision_span(profiler_, "decision");
   const prof::Scope kind_span(profiler_, event_name(kind));
   const ClusterState& state = make_state();
-  // Wall-clock is allowed here ONLY because the decision histogram is
-  // Host-scope: stderr diagnostics, never exported to a file or fed back
-  // into any simulated quantity.
-  // ones-lint-begin: wall-clock-ok(Host-scope decision-time histogram; stderr diagnostics only, never a simulated quantity)
-  std::chrono::steady_clock::time_point host_begin;
-  if (registry_ != nullptr) host_begin = std::chrono::steady_clock::now();
   std::optional<cluster::Assignment> next = scheduler_.on_event(state, {kind, job});
   if (registry_ != nullptr) {
-    const std::chrono::duration<double> host_s =
-        std::chrono::steady_clock::now() - host_begin;
-    // ones-lint-end: wall-clock-ok
-    registry_
-        ->histogram("sched_decision_host_seconds", kDecisionHostBounds,
-                    telemetry::MetricScope::Host)
-        .observe(host_s.count());
     registry_->counter("sched_events_total").add();
     if (next.has_value()) registry_->counter("sched_decisions_total").add();
   }

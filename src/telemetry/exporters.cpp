@@ -1,13 +1,10 @@
 #include "telemetry/exporters.hpp"
 
-#include <atomic>
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <ostream>
-#include <sstream>
-#include <stdexcept>
 
+#include "common/atomic_file.hpp"
 #include "common/json.hpp"
 
 namespace fs = std::filesystem;
@@ -37,7 +34,6 @@ const char* kind_name(MetricsRegistry::Kind kind) {
 
 void write_prometheus(std::ostream& os, const MetricsRegistry& registry) {
   for (const auto& [name, e] : registry.entries()) {
-    if (e.scope != MetricScope::Sim) continue;  // host wall-clock: stderr only
     os << "# TYPE " << name << ' ' << kind_name(e.kind) << '\n';
     switch (e.kind) {
       case MetricsRegistry::Kind::Counter:
@@ -68,7 +64,6 @@ void write_json_summary(std::ostream& os, const MetricsRegistry& registry) {
   os << "{";
   bool first = true;
   for (const auto& [name, e] : registry.entries()) {
-    if (e.scope != MetricScope::Sim) continue;
     os << (first ? "\n" : ",\n") << "  " << json_quote(name) << ": {\"type\": \""
        << kind_name(e.kind) << "\", ";
     first = false;
@@ -101,69 +96,17 @@ void write_json_summary(std::ostream& os, const MetricsRegistry& registry) {
   os << (first ? "}" : "\n}") << '\n';
 }
 
-std::string format_host_metrics(const MetricsRegistry& registry) {
-  std::ostringstream os;
-  for (const auto& [name, e] : registry.entries()) {
-    if (e.scope != MetricScope::Host) continue;
-    os << "  " << name << ": ";
-    switch (e.kind) {
-      case MetricsRegistry::Kind::Counter:
-        os << json_double(e.counter->value()) << '\n';
-        break;
-      case MetricsRegistry::Kind::Gauge:
-        os << json_double(e.gauge->value()) << '\n';
-        break;
-      case MetricsRegistry::Kind::Histogram: {
-        const Histogram& h = *e.histogram;
-        os << "count=" << h.count() << " p50=" << json_double(h.quantile(0.50))
-           << " p90=" << json_double(h.quantile(0.90))
-           << " max=" << json_double(h.max()) << '\n';
-        break;
-      }
-    }
-  }
-  return os.str();
-}
-
-namespace {
-
-/// Distinguishes concurrent writers targeting the same final path; the value
-/// never reaches the exported bytes (same idiom as `trace::RunTraceWriter`).
-std::string unique_tmp_suffix() {
-  static std::atomic<std::uint64_t> counter{0};
-  return ".tmp" + std::to_string(counter.fetch_add(1, std::memory_order_relaxed));
-}
-
-template <typename WriteFn>
-void write_atomically(const fs::path& final_path, WriteFn&& write) {
-  const fs::path tmp = final_path.string() + unique_tmp_suffix();
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      throw std::runtime_error("cannot open metrics file '" + tmp.string() + "'");
-    }
-    write(out);
-    out.flush();
-    if (!out) {
-      throw std::runtime_error("failed writing metrics file '" + tmp.string() + "'");
-    }
-  }
-  fs::rename(tmp, final_path);
-}
-
-}  // namespace
-
 void write_metrics_files(const MetricsRegistry& registry, const std::string& dir,
                          const std::string& stem) {
   fs::create_directories(dir);
   const fs::path base = fs::path(dir) / stem;
-  write_atomically(base.string() + ".timeline.csv", [&](std::ostream& os) {
+  common::write_file_atomically(base.string() + ".timeline.csv", [&](std::ostream& os) {
     write_timeline_csv(os, registry.timeline());
   });
-  write_atomically(base.string() + ".prom",
-                   [&](std::ostream& os) { write_prometheus(os, registry); });
-  write_atomically(base.string() + ".metrics.json",
-                   [&](std::ostream& os) { write_json_summary(os, registry); });
+  common::write_file_atomically(base.string() + ".prom",
+                                [&](std::ostream& os) { write_prometheus(os, registry); });
+  common::write_file_atomically(base.string() + ".metrics.json",
+                                [&](std::ostream& os) { write_json_summary(os, registry); });
 }
 
 }  // namespace ones::telemetry

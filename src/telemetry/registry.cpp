@@ -55,38 +55,34 @@ double Histogram::quantile(double q) const {
   return max_;
 }
 
-MetricsRegistry::Entry& MetricsRegistry::entry_for(const std::string& name, Kind kind,
-                                                   MetricScope scope) {
+MetricsRegistry::Entry& MetricsRegistry::entry_for(const std::string& name, Kind kind) {
   ONES_EXPECT_MSG(!name.empty(), "instrument needs a name");
   auto it = entries_.find(name);
   if (it != entries_.end()) {
     ONES_EXPECT_MSG(it->second.kind == kind,
                     "instrument '" + name + "' already registered with another kind");
-    ONES_EXPECT_MSG(it->second.scope == scope,
-                    "instrument '" + name + "' already registered with another scope");
     return it->second;
   }
   Entry e;
   e.kind = kind;
-  e.scope = scope;
   return entries_.emplace(name, std::move(e)).first->second;
 }
 
-Counter& MetricsRegistry::counter(const std::string& name, MetricScope scope) {
-  Entry& e = entry_for(name, Kind::Counter, scope);
+Counter& MetricsRegistry::counter(const std::string& name) {
+  Entry& e = entry_for(name, Kind::Counter);
   if (!e.counter) e.counter = std::make_unique<Counter>();
   return *e.counter;
 }
 
-Gauge& MetricsRegistry::gauge(const std::string& name, MetricScope scope) {
-  Entry& e = entry_for(name, Kind::Gauge, scope);
+Gauge& MetricsRegistry::gauge(const std::string& name) {
+  Entry& e = entry_for(name, Kind::Gauge);
   if (!e.gauge) e.gauge = std::make_unique<Gauge>();
   return *e.gauge;
 }
 
 Histogram& MetricsRegistry::histogram(const std::string& name,
-                                      std::vector<double> bounds, MetricScope scope) {
-  Entry& e = entry_for(name, Kind::Histogram, scope);
+                                      std::vector<double> bounds) {
+  Entry& e = entry_for(name, Kind::Histogram);
   if (!e.histogram) {
     e.histogram = std::make_unique<Histogram>(std::move(bounds));
   } else {

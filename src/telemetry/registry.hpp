@@ -10,13 +10,10 @@
 // branch and nothing else, exactly like the `trace::TraceSink` contract.
 //
 // Determinism rules:
-//  * `MetricScope::Sim` instruments are pure functions of the (deterministic)
-//    simulation — they are what the file exporters emit, byte-identically
-//    for any `--threads` value.
-//  * `MetricScope::Host` instruments hold wall-clock measurements (e.g. the
-//    per-decision scheduler host-time histogram). They follow the
-//    `bench::ScopedTimer` convention: stderr-only, excluded from every file
-//    exporter, and never fed back into any result.
+//  * Every instrument is a pure function of the (deterministic) simulation,
+//    so the file exporters emit it byte-identically for any `--threads`
+//    value. Host wall-clock never enters the registry: decision latency and
+//    every other host time come from the `prof` spans (DESIGN.md §14).
 //  * The registry pointer is NOT part of the orchestrator cache key:
 //    attaching one must never change a simulation result.
 //
@@ -37,10 +34,6 @@
 #include "telemetry/timeline.hpp"
 
 namespace ones::telemetry {
-
-/// Whether an instrument's value derives from deterministic simulation state
-/// (exported to files) or from host wall-clock (stderr-only diagnostics).
-enum class MetricScope { Sim, Host };
 
 /// Monotonically increasing sum. `value()` is a double so counters can
 /// accumulate fractional quantities (overhead seconds) as well as counts.
@@ -109,10 +102,9 @@ class MetricsRegistry {
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  Counter& counter(const std::string& name, MetricScope scope = MetricScope::Sim);
-  Gauge& gauge(const std::string& name, MetricScope scope = MetricScope::Sim);
-  Histogram& histogram(const std::string& name, std::vector<double> bounds,
-                       MetricScope scope = MetricScope::Sim);
+  Counter& counter(const std::string& name);
+  Gauge& gauge(const std::string& name);
+  Histogram& histogram(const std::string& name, std::vector<double> bounds);
 
   /// Lookup without creation; nullptr when absent or a different kind.
   const Counter* find_counter(const std::string& name) const;
@@ -131,7 +123,6 @@ class MetricsRegistry {
 
   struct Entry {
     Kind kind = Kind::Counter;
-    MetricScope scope = MetricScope::Sim;
     std::unique_ptr<Counter> counter;
     std::unique_ptr<Gauge> gauge;
     std::unique_ptr<Histogram> histogram;
@@ -142,7 +133,7 @@ class MetricsRegistry {
   const std::map<std::string, Entry>& entries() const { return entries_; }
 
  private:
-  Entry& entry_for(const std::string& name, Kind kind, MetricScope scope);
+  Entry& entry_for(const std::string& name, Kind kind);
 
   std::map<std::string, Entry> entries_;
   TimelineSampler timeline_;

@@ -1,10 +1,10 @@
 #include "trace/sink.hpp"
 
-#include <atomic>
 #include <filesystem>
 #include <sstream>
 #include <stdexcept>
 
+#include "common/atomic_file.hpp"
 #include "common/json.hpp"
 
 namespace ones::trace {
@@ -167,24 +167,12 @@ void ChromeTraceSink::on_record(const TraceRecord& r) {
   }
 }
 
-namespace {
-
-/// Distinguishes concurrent writers targeting the same final path (identical
-/// duplicate specs in one grid); the value never reaches the trace bytes.
-std::string unique_tmp_suffix() {
-  static std::atomic<std::uint64_t> counter{0};
-  return ".tmp" + std::to_string(counter.fetch_add(1, std::memory_order_relaxed));
-}
-
-}  // namespace
-
 RunTraceWriter::RunTraceWriter(const std::string& dir, const std::string& stem) {
   fs::create_directories(dir);
   jsonl_path_ = (fs::path(dir) / (stem + ".jsonl")).string();
   chrome_path_ = (fs::path(dir) / (stem + ".trace.json")).string();
-  const std::string suffix = unique_tmp_suffix();
-  jsonl_tmp_ = jsonl_path_ + suffix;
-  chrome_tmp_ = chrome_path_ + suffix;
+  jsonl_tmp_ = common::unique_temp_path(jsonl_path_);
+  chrome_tmp_ = common::unique_temp_path(chrome_path_);
   jsonl_out_.open(jsonl_tmp_, std::ios::binary | std::ios::trunc);
   chrome_out_.open(chrome_tmp_, std::ios::binary | std::ios::trunc);
   if (!jsonl_out_ || !chrome_out_) {

@@ -1,10 +1,17 @@
 // Unit tests for src/common: RNG determinism and distribution sanity,
-// math utilities, and the expectation macros.
+// math utilities, the expectation macros, and atomic file writes.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
+#include <fstream>
 #include <set>
+#include <sstream>
+#include <stdexcept>
+#include <string>
+#include <thread>
 
+#include "common/atomic_file.hpp"
 #include "common/expect.hpp"
 #include "common/math_util.hpp"
 #include "common/rng.hpp"
@@ -201,6 +208,73 @@ TEST(Expect, ThrowsWithMessage) {
 
 TEST(Expect, PassesOnTrue) {
   EXPECT_NO_THROW(ONES_EXPECT(1 + 1 == 2));
+}
+
+namespace fs = std::filesystem;
+
+/// A fresh, empty directory under the test temp root.
+fs::path fresh_dir(const std::string& name) {
+  const fs::path dir = fs::path(testing::TempDir()) / name;
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  return dir;
+}
+
+std::string read_file(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+std::size_t entry_count(const fs::path& dir) {
+  std::size_t entries = 0;
+  for ([[maybe_unused]] const auto& e : fs::directory_iterator(dir)) ++entries;
+  return entries;
+}
+
+TEST(AtomicFile, WritesWholeFileAndLeavesNoTempFile) {
+  const fs::path dir = fresh_dir("atomic_file_whole");
+  const fs::path path = dir / "out.txt";
+  common::write_file_atomically(path.string(), [](std::ostream& out) { out << "first\n"; });
+  common::write_file_atomically(path.string(), [](std::ostream& out) { out << "second\n"; });
+  EXPECT_EQ(read_file(path), "second\n");
+  EXPECT_EQ(entry_count(dir), 1u);
+  fs::remove_all(dir);
+}
+
+TEST(AtomicFile, UnwritableDirectoryThrows) {
+  const fs::path dir = fresh_dir("atomic_file_unwritable");
+  // A regular file as the parent directory: opening fails even for root.
+  const fs::path not_a_dir = dir / "plain_file";
+  std::ofstream(not_a_dir) << "x";
+  EXPECT_THROW(common::write_file_atomically((not_a_dir / "out.txt").string(),
+                                             [](std::ostream& out) { out << "data"; }),
+               std::runtime_error);
+  EXPECT_EQ(entry_count(dir), 1u);
+  fs::remove_all(dir);
+}
+
+TEST(AtomicFile, ConcurrentWritersLeaveOneCompleteFile) {
+  const fs::path dir = fresh_dir("atomic_file_concurrent");
+  const fs::path path = dir / "out.txt";
+  const std::string a(1 << 18, 'a');
+  const std::string b(1 << 18, 'b');
+  const auto writer = [&path](const std::string& content) {
+    for (int round = 0; round < 8; ++round) {
+      common::write_file_atomically(path.string(), [&content](std::ostream& out) {
+        for (std::size_t i = 0; i < content.size(); i += 4096) out << content.substr(i, 4096);
+      });
+    }
+  };
+  std::thread ta(writer, std::cref(a));
+  std::thread tb(writer, std::cref(b));
+  ta.join();
+  tb.join();
+  const std::string text = read_file(path);
+  EXPECT_TRUE(text == a || text == b) << "interleaved or truncated content";
+  EXPECT_EQ(entry_count(dir), 1u);
+  fs::remove_all(dir);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Unit tests for the sim-time metrics registry (DESIGN.md §9): instrument
 // semantics (counter monotonicity, histogram bucket boundaries and
-// quantiles), registry name/kind/scope aliasing rules, TimelineSampler
+// quantiles), registry name/kind aliasing rules, TimelineSampler
 // change-point + tick determinism, and the three exporters' output formats.
 #include <gtest/gtest.h>
 
@@ -88,7 +88,6 @@ TEST(MetricsRegistry, RejectsNameAliasing) {
   r.counter("x");
   EXPECT_THROW(r.gauge("x"), std::logic_error);                   // kind mismatch
   EXPECT_THROW(r.histogram("x", {1.0}), std::logic_error);        // kind mismatch
-  EXPECT_THROW(r.counter("x", MetricScope::Host), std::logic_error);  // scope mismatch
   r.histogram("h", {1.0, 2.0});
   EXPECT_THROW(r.histogram("h", {1.0, 3.0}), std::logic_error);  // bounds mismatch
 }
@@ -194,7 +193,7 @@ TEST(Exporters, TimelineCsvHeaderAndRows) {
   EXPECT_EQ(os.str(), "t,series,value\n0,busy_gpus,4\n1.5,busy_gpus,8\n");
 }
 
-TEST(Exporters, PrometheusFormatsAllKindsAndSkipsHostScope) {
+TEST(Exporters, PrometheusFormatsAllKinds) {
   MetricsRegistry r;
   r.counter("b_total").add(3.0);
   r.gauge("a_gauge").set(1.5);
@@ -202,7 +201,6 @@ TEST(Exporters, PrometheusFormatsAllKindsAndSkipsHostScope) {
   h.observe(0.5);
   h.observe(1.5);
   h.observe(9.0);
-  r.histogram("host_seconds", {1.0}, MetricScope::Host).observe(0.2);
   std::ostringstream os;
   write_prometheus(os, r);
   EXPECT_EQ(os.str(),
@@ -218,18 +216,16 @@ TEST(Exporters, PrometheusFormatsAllKindsAndSkipsHostScope) {
             "c_seconds_count 3\n");
 }
 
-TEST(Exporters, JsonSummaryParsesAndSkipsHostScope) {
+TEST(Exporters, JsonSummaryParses) {
   MetricsRegistry r;
   r.counter("jobs_total").add(2.0);
   r.gauge("depth").set(4.0);
   r.histogram("lat_seconds", {1.0}).observe(0.5);
-  r.counter("host_only", MetricScope::Host).add(1.0);
   std::ostringstream os;
   write_json_summary(os, r);
   const JsonValue doc = parse_json(os.str());
   ASSERT_EQ(doc.kind, JsonValue::Kind::Object);
   EXPECT_EQ(doc.object.size(), 3u);
-  EXPECT_EQ(doc.find("host_only"), nullptr);
   const JsonValue* jobs = doc.find("jobs_total");
   ASSERT_NE(jobs, nullptr);
   EXPECT_EQ(jobs->find("type")->string, "counter");
@@ -249,21 +245,6 @@ TEST(Exporters, EmptyRegistryJsonIsAnEmptyObject) {
   const JsonValue doc = parse_json(os.str());
   EXPECT_EQ(doc.kind, JsonValue::Kind::Object);
   EXPECT_TRUE(doc.object.empty());
-}
-
-TEST(Exporters, HostMetricsRenderOnlyHostScope) {
-  MetricsRegistry r;
-  EXPECT_EQ(format_host_metrics(r), "");
-  r.counter("sim_total").add(5.0);
-  EXPECT_EQ(format_host_metrics(r), "");  // sim scope stays off stderr
-  Histogram& h = r.histogram("sched_decision_host_seconds",
-                             {1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0},
-                             MetricScope::Host);
-  h.observe(5e-4);
-  const std::string out = format_host_metrics(r);
-  EXPECT_NE(out.find("sched_decision_host_seconds"), std::string::npos);
-  EXPECT_NE(out.find("count=1"), std::string::npos);
-  EXPECT_EQ(out.find("sim_total"), std::string::npos);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Host-time profiler unit tests (DESIGN.md §14): span-path aggregation,
 // rollup merge determinism, the null-Scope zero-cost contract, and the
-// JSON / Chrome exporters.
+// table (with log2-histogram quantiles) / JSON / Chrome exporters.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <fstream>
 #include <new>
+#include <numeric>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -74,6 +75,11 @@ TEST(Profiler, AggregatesBySpanPath) {
   EXPECT_GE(stats[0].total_ns, stats[1].total_ns);
   EXPECT_EQ(stats[0].self_ns, stats[0].total_ns - stats[1].total_ns);
   EXPECT_EQ(stats[1].self_ns, stats[1].total_ns);
+  // Every span instance lands in exactly one log2 bucket.
+  for (const prof::SpanStats& s : stats) {
+    EXPECT_EQ(std::accumulate(s.buckets.begin(), s.buckets.end(), std::uint64_t{0}), s.count);
+    EXPECT_LE(s.max_ns, s.total_ns);
+  }
 }
 
 TEST(Profiler, SpanPathsAndCountsAreReproducible) {
@@ -154,11 +160,42 @@ TEST(ProfileRollup, MergeIsOrderIndependent) {
     EXPECT_EQ(sab[i].count, sba[i].count);
     EXPECT_EQ(sab[i].total_ns, sba[i].total_ns);
     EXPECT_EQ(sab[i].self_ns, sba[i].self_ns);
+    EXPECT_EQ(sab[i].max_ns, sba[i].max_ns);
+    EXPECT_EQ(sab[i].buckets, sba[i].buckets);
   }
   // decision count pooled across both profilers: 2 + 2.
   ASSERT_FALSE(sab.empty());
   EXPECT_EQ(sab[0].path, "decision");
   EXPECT_EQ(sab[0].count, 4u);
+}
+
+TEST(ProfExport, TablePrintsQuantilesFromLog2Buckets) {
+  // Five spans in [1024, 2048) ns (bucket 11) and five in [2^20, 2^21) ns
+  // (bucket 21), the longest 1.5 ms.
+  prof::SpanStats s;
+  s.path = "decision";
+  s.count = 10;
+  s.total_ns = 6'000'000;
+  s.self_ns = 4'000'000;
+  s.max_ns = 1'500'000;
+  s.buckets[11] = 5;
+  s.buckets[21] = 5;
+  const std::string table = prof::format_profile({s});
+  const std::string row = table.substr(table.find('\n') + 1);
+  std::istringstream fields(row);
+  std::string prefix, path, count, total_ms, self_ms, p50_us, p90_us, max_us;
+  fields >> prefix >> path >> count >> total_ms >> self_ms >> p50_us >> p90_us >> max_us;
+  EXPECT_EQ(path, "decision");
+  EXPECT_EQ(count, "10");
+  EXPECT_EQ(total_ms, "6.000");
+  EXPECT_EQ(self_ms, "4.000");
+  // p50: rank 5 is the last span of bucket 11, i.e. its upper edge 2048 ns.
+  EXPECT_EQ(p50_us, "2.048");
+  // p90: rank 9 is 4/5 of the way through bucket 21, whose upper edge is
+  // capped at max_ns: 2^20 + 0.8 * (1'500'000 - 2^20) = 1'409'715.2 ns.
+  EXPECT_EQ(p90_us, "1409.715");
+  EXPECT_EQ(max_us, "1500.000");
+  EXPECT_NE(table.find("p90(us)"), std::string::npos);
 }
 
 TEST(ProfExport, JsonIsParseableAndStable) {
