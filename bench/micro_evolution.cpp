@@ -144,6 +144,23 @@ BENCHMARK(BM_AssignmentCopy)
     ->Args({2000, 450})
     ->Unit(benchmark::kMicrosecond);
 
+/// Looking a job up in a genome, as score, repair and fill_idle do a few
+/// hundred times per candidate: gpu_count over every id in [0, 2J), the
+/// J placed jobs and as many absent ids. Arg: placed jobs J, on 4J GPUs.
+void BM_JobLookup(benchmark::State& bench_state) {
+  const int jobs = static_cast<int>(bench_state.range(0));
+  const auto a = packed_schedule(4 * jobs, jobs);
+  for (auto _ : bench_state) {
+    int total = 0;
+    for (JobId j = 0; j < 2 * jobs; ++j) total += a.gpu_count(j);
+    benchmark::DoNotOptimize(total);
+  }
+  bench_state.SetItemsProcessed(bench_state.iterations() * 2 * jobs);
+  bench_state.SetLabel(std::to_string(a.running_jobs().size()) + " jobs, " +
+                       std::to_string(jobs) + " absent ids");
+}
+BENCHMARK(BM_JobLookup)->Arg(8)->Arg(64)->Arg(512)->Unit(benchmark::kNanosecond);
+
 /// Building a genome from a slot array (crossover children, reorder). The
 /// timed loop includes the copy of the slot array that from_slots consumes.
 void BM_FromSlots(benchmark::State& bench_state) {

@@ -1,7 +1,10 @@
 #include "cluster/assignment.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <iterator>
+#include <limits>
 #include <numeric>
 #include <sstream>
 #include <utility>
@@ -24,6 +27,20 @@ void erase_sorted(std::vector<T>& v, T value) {
   const auto it = std::lower_bound(v.begin(), v.end(), value);
   ONES_EXPECT_MSG(it != v.end() && *it == value, "index entry missing");
   v.erase(it);
+}
+
+/// An index bucket that points at no jobs_ entry.
+constexpr int kEmptyBucket = -1;
+/// A `last` for Assignment::shift_lists that reaches every list.
+constexpr int kLastList = std::numeric_limits<int>::max();
+/// Smallest non-empty index: 8 buckets.
+constexpr int kMinIndexBits = 3;
+
+/// log2 of the bucket count the index gets when rebuilt for `jobs` entries:
+/// the smallest power of two holding two buckets per entry (none for none).
+int index_bits_for(std::size_t jobs) {
+  if (jobs == 0) return 0;
+  return std::max(kMinIndexBits, static_cast<int>(std::bit_width(2 * jobs - 1)));
 }
 
 }  // namespace
@@ -49,35 +66,105 @@ const Slot& Assignment::slot(GpuId gpu) const {
   return slots_[static_cast<std::size_t>(gpu)];
 }
 
-std::size_t Assignment::lower_stat(JobId job) const {
-  const auto it = std::lower_bound(
-      jobs_.begin(), jobs_.end(), job,
-      [](const JobStat& s, JobId j) { return s.job < j; });
-  return static_cast<std::size_t>(it - jobs_.begin());
+std::size_t Assignment::home(JobId job) const {
+  // The high bits of a multiplicative hash: ids that share low bits (a
+  // stride of 1,000, say) still spread over the table.
+  return static_cast<std::size_t>((static_cast<std::uint64_t>(job) * 0x9E3779B97F4A7C15ULL) >>
+                                  (64 - index_bits_));
 }
 
 const Assignment::JobStat* Assignment::find_stat(JobId job) const {
-  const std::size_t i = lower_stat(job);
-  if (i == jobs_.size() || jobs_[i].job != job) return nullptr;
-  return &jobs_[i];
+  if (index_bits_ == 0) return nullptr;
+  const std::size_t mask = bucket_count() - 1;
+  const int* const table = buf_.data() + lists_end();
+  // Linear probing; at most half the buckets are used, so an empty one
+  // always ends the probe.
+  for (std::size_t b = home(job);; b = (b + 1) & mask) {
+    const int pos = table[b];
+    if (pos == kEmptyBucket) return nullptr;
+    const JobStat& stat = jobs_[static_cast<std::size_t>(pos)];
+    if (stat.job == job) return &stat;
+  }
 }
 
 Assignment::JobStat* Assignment::find_stat(JobId job) {
   return const_cast<JobStat*>(std::as_const(*this).find_stat(job));
 }
 
-void Assignment::shift_begins(std::size_t first, std::size_t last, int delta) {
-  for (std::size_t i = first; i < last; ++i) jobs_[i].begin += delta;
+std::size_t Assignment::bucket_of(std::size_t pos) const {
+  const std::size_t mask = bucket_count() - 1;
+  const int* const table = buf_.data() + lists_end();
+  std::size_t b = home(jobs_[pos].job);
+  for (; table[b] != static_cast<int>(pos); b = (b + 1) & mask) {
+    ONES_EXPECT_MSG(table[b] != kEmptyBucket, "job index entry missing");
+  }
+  return b;
+}
+
+void Assignment::index_insert(std::size_t pos) {
+  const std::size_t mask = bucket_count() - 1;
+  int* const table = buf_.data() + lists_end();
+  std::size_t b = home(jobs_[pos].job);
+  while (table[b] != kEmptyBucket) b = (b + 1) & mask;
+  table[b] = static_cast<int>(pos);
+}
+
+void Assignment::rebuild_index(int bits) {
+  const auto end = static_cast<std::size_t>(lists_end());
+  index_bits_ = static_cast<std::uint8_t>(bits);
+  buf_.resize(end);
+  buf_.resize(end + bucket_count(), kEmptyBucket);
+  for (std::size_t i = 0; i < jobs_.size(); ++i) index_insert(i);
+}
+
+Assignment::JobStat& Assignment::add_stat(JobId job) {
+  // An empty list at the end of the lists.
+  jobs_.push_back(JobStat{job, 0, lists_end(), 0});
+  if (2 * jobs_.size() > bucket_count()) {
+    rebuild_index(index_bits_for(jobs_.size()));
+  } else {
+    index_insert(jobs_.size() - 1);
+  }
+  return jobs_.back();
+}
+
+void Assignment::drop_stat(std::size_t pos) {
+  // Backward-shift deletion: walk the probe run after the freed bucket and
+  // pull back every entry whose home does not lie between the hole and it,
+  // so no later probe meets an empty bucket before its entry.
+  const std::size_t mask = bucket_count() - 1;
+  int* const table = buf_.data() + lists_end();
+  std::size_t hole = bucket_of(pos);
+  for (std::size_t b = (hole + 1) & mask; table[b] != kEmptyBucket; b = (b + 1) & mask) {
+    const std::size_t h = home(jobs_[static_cast<std::size_t>(table[b])].job);
+    if (((b - h) & mask) >= ((b - hole) & mask)) {
+      table[hole] = table[b];
+      hole = b;
+    }
+  }
+  table[hole] = kEmptyBucket;
+  // The last stat fills the gap, so no other entry moves.
+  const std::size_t last = jobs_.size() - 1;
+  if (pos != last) {
+    table[bucket_of(last)] = static_cast<int>(pos);
+    jobs_[pos] = jobs_[last];
+  }
+  jobs_.pop_back();
+  // Shrink only far below the growth point, so a job count that hovers at
+  // a boundary never rebuilds on every entry and exit.
+  const int bits = index_bits_for(jobs_.size());
+  if (8 * jobs_.size() <= bucket_count() && bits < index_bits_) rebuild_index(bits);
+}
+
+void Assignment::shift_lists(int first, int last, int delta) {
+  for (JobStat& stat : jobs_) {
+    if (stat.begin >= first && stat.begin <= last) stat.begin += delta;
+  }
 }
 
 void Assignment::attach(JobId job, GpuId gpu, int local_batch) {
-  const std::size_t si = lower_stat(job);
-  if (si == jobs_.size() || jobs_[si].job != job) {
-    // An empty list at the spot the job's JobId order gives it.
-    const int begin = si < jobs_.size() ? jobs_[si].begin : static_cast<int>(buf_.size());
-    jobs_.insert(jobs_.begin() + static_cast<std::ptrdiff_t>(si), JobStat{job, 0, begin, 0});
-  }
-  JobStat& stat = jobs_[si];
+  JobStat* found = find_stat(job);
+  JobStat& stat = found != nullptr ? *found : add_stat(job);
   const auto idle_end = buf_.begin() + idle_count_;
   const auto from = std::lower_bound(buf_.begin(), idle_end, gpu);
   ONES_EXPECT_MSG(from != idle_end && *from == gpu, "index entry missing");
@@ -88,16 +175,16 @@ void Assignment::attach(JobId job, GpuId gpu, int local_batch) {
   // one earlier.
   std::rotate(from, from + 1, to);
   --idle_count_;
-  shift_begins(0, si + 1, -1);
+  shift_lists(0, stat.begin, -1);
   ++stat.count;
   stat.global_batch += local_batch;
   order_valid_ = false;
 }
 
 void Assignment::detach(JobId job, GpuId gpu, int local_batch) {
-  const std::size_t si = lower_stat(job);
-  ONES_EXPECT_MSG(si < jobs_.size() && jobs_[si].job == job, "job index entry missing");
-  JobStat& stat = jobs_[si];
+  JobStat* found = find_stat(job);
+  ONES_EXPECT_MSG(found != nullptr, "job index entry missing");
+  JobStat& stat = *found;
   const auto block = buf_.begin() + stat.begin;
   const auto from = std::lower_bound(block, block + stat.count, gpu);
   ONES_EXPECT_MSG(from != block + stat.count && *from == gpu, "index entry missing");
@@ -107,16 +194,16 @@ void Assignment::detach(JobId job, GpuId gpu, int local_batch) {
     const auto to = std::lower_bound(buf_.begin(), buf_.begin() + idle_count_, gpu);
     std::rotate(to, from, from + 1);
     ++idle_count_;
-    shift_begins(0, si + 1, 1);
+    shift_lists(0, stat.begin, 1);
   } else {
     // A down GPU is never idle: it leaves the buffer, and the lists after
     // this job's start one earlier.
     buf_.erase(from);
-    shift_begins(si + 1, jobs_.size(), -1);
+    shift_lists(stat.begin + 1, kLastList, -1);
   }
   --stat.count;
   stat.global_batch -= local_batch;
-  if (stat.count == 0) jobs_.erase(jobs_.begin() + static_cast<std::ptrdiff_t>(si));
+  if (stat.count == 0) drop_stat(static_cast<std::size_t>(found - jobs_.data()));
   order_valid_ = false;
 }
 
@@ -148,9 +235,9 @@ void Assignment::clear(GpuId gpu) {
 }
 
 int Assignment::evict(JobId job) {
-  const std::size_t si = lower_stat(job);
-  if (si == jobs_.size() || jobs_[si].job != job) return 0;
-  const JobStat stat = jobs_[si];
+  const JobStat* found = find_stat(job);
+  if (found == nullptr) return 0;
+  const JobStat stat = *found;
   // Rotate the job's list to just after the idle prefix, free its slots,
   // drop its down GPUs and merge the rest (both halves ascending) into the
   // idle prefix.
@@ -170,10 +257,15 @@ int Assignment::evict(JobId job) {
                      buf_.begin() + idle_count_ + kept);
   idle_count_ += kept;
   // Lists before the job's gained the kept GPUs ahead of them; lists after
-  // it lost the dropped ones.
-  shift_begins(0, si, kept);
-  shift_begins(si + 1, jobs_.size(), kept - stat.count);
-  jobs_.erase(jobs_.begin() + static_cast<std::ptrdiff_t>(si));
+  // it lost the dropped ones (one pass: a shifted list may cross `begin`).
+  for (JobStat& other : jobs_) {
+    if (other.begin < stat.begin) {
+      other.begin += kept;
+    } else if (other.begin > stat.begin) {
+      other.begin += kept - stat.count;
+    }
+  }
+  drop_stat(static_cast<std::size_t>(found - jobs_.data()));
   order_valid_ = false;
   return stat.count;
 }
@@ -192,14 +284,14 @@ void Assignment::set_health(GpuId gpu, SlotHealth health) {
       ONES_EXPECT_MSG(it != idle_end && *it == gpu, "index entry missing");
       buf_.erase(it);
       --idle_count_;
-      shift_begins(0, jobs_.size(), -1);
+      shift_lists(0, kLastList, -1);
     }
   } else if (!was_healthy && s.healthy()) {
     erase_sorted(down_, gpu);
     if (!s.occupied()) {
       buf_.insert(std::lower_bound(buf_.begin(), idle_end, gpu), gpu);
       ++idle_count_;
-      shift_begins(0, jobs_.size(), 1);
+      shift_lists(0, kLastList, 1);
     }
   }
   // Failed <-> Reclaimed: membership in both indexes is unchanged.
@@ -255,6 +347,12 @@ Assignment Assignment::from_slots(std::vector<Slot> slots) {
   out.down_.reserve(down);
   out.jobs_.reserve(runs);
   out.order_.reserve(runs);
+  // The runs bound the jobs, so an index sized for them never grows during
+  // the scan. It is the whole of buf_ for now; the GPU lists go in ahead of
+  // it later, so reserve for both at once.
+  out.index_bits_ = static_cast<std::uint8_t>(index_bits_for(runs));
+  out.buf_.reserve(out.slots_.size() - down + out.bucket_count());
+  out.buf_.assign(out.bucket_count(), kEmptyBucket);
   JobStat* stat = nullptr;  // the previous slot's job: genomes keep workers adjacent
   for (int g = 0; g < out.num_gpus(); ++g) {
     const Slot& s = out.slots_[static_cast<std::size_t>(g)];
@@ -263,22 +361,25 @@ Assignment Assignment::from_slots(std::vector<Slot> slots) {
     if (stat == nullptr || stat->job != s.job) stat = out.find_stat(s.job);
     if (stat == nullptr) {
       // First occurrence: the scan discovers jobs in running_jobs() order.
-      const std::size_t at = out.lower_stat(s.job);
-      stat = &*out.jobs_.insert(out.jobs_.begin() + static_cast<std::ptrdiff_t>(at),
-                                JobStat{s.job, 0, 0, 0});
+      out.jobs_.push_back(JobStat{s.job, 0, 0, 0});
+      out.index_insert(out.jobs_.size() - 1);
       out.order_.push_back(s.job);
+      stat = &out.jobs_.back();
     }
     stat->global_batch += s.local_batch;
     ++stat->count;
   }
-  // Then fill: each job's list starts where the previous one ends.
+  // Then fill: each job's list starts where the previous one ends, and the
+  // index follows the lists, with the buckets the jobs found need.
   int begin = idle;
   for (JobStat& st : out.jobs_) {
     st.begin = begin;
     begin += st.count;
     st.count = 0;
   }
-  out.buf_.resize(static_cast<std::size_t>(begin));
+  out.index_bits_ = 0;  // buf_ holds just the lists until the rebuild
+  out.buf_.assign(static_cast<std::size_t>(begin), GpuId{0});
+  out.rebuild_index(index_bits_for(out.jobs_.size()));
   out.idle_count_ = idle;
   int next_idle = 0;
   stat = nullptr;
@@ -394,8 +495,12 @@ void Assignment::audit_indexes() const {
   };
   std::vector<GpuId> idle;
   std::vector<GpuId> down;
-  std::vector<Expected> jobs;
+  std::vector<Expected> jobs;  // ascending by JobId
   std::vector<JobId> order;
+  const auto expected = [&](JobId j) {
+    return std::lower_bound(jobs.begin(), jobs.end(), j,
+                            [](const Expected& a, JobId b) { return a.job < b; });
+  };
   for (int g = 0; g < num_gpus(); ++g) {
     const Slot& s = slots_[static_cast<std::size_t>(g)];
     if (!s.healthy()) down.push_back(g);
@@ -403,9 +508,7 @@ void Assignment::audit_indexes() const {
       if (s.healthy()) idle.push_back(g);
       continue;
     }
-    const auto it = std::lower_bound(
-        jobs.begin(), jobs.end(), s.job,
-        [](const Expected& a, JobId j) { return a.job < j; });
+    const auto it = expected(s.job);
     if (it == jobs.end() || it->job != s.job) {
       jobs.insert(it, Expected{s.job, s.local_batch, {g}});
       order.push_back(s.job);
@@ -420,20 +523,54 @@ void Assignment::audit_indexes() const {
   ONES_EXPECT_MSG(down == down_, "down-GPU index diverged from the slot array");
   ONES_EXPECT_MSG(jobs.size() == jobs_.size(),
                   "job index has the wrong number of entries");
-  int begin = idle_count_;  // the job lists tile buf_ after the idle prefix
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    ONES_EXPECT_MSG(jobs[i].job == jobs_[i].job, "job index diverged: wrong job");
-    ONES_EXPECT_MSG(jobs[i].global_batch == jobs_[i].global_batch,
+  // Every placed job resolves to a stat with its batch and GPUs.
+  for (const Expected& e : jobs) {
+    const JobStat* stat = find_stat(e.job);
+    ONES_EXPECT_MSG(stat != nullptr, "job index does not resolve a placed job");
+    ONES_EXPECT_MSG(stat->job == e.job, "job index diverged: wrong job");
+    ONES_EXPECT_MSG(stat->global_batch == e.global_batch,
                     "job index diverged: stale global batch");
-    ONES_EXPECT_MSG(jobs_[i].begin == begin, "job index diverged: misplaced GPU list");
-    const auto gpus = gpus_of(jobs_[i].job);
-    ONES_EXPECT_MSG(std::equal(jobs[i].gpus.begin(), jobs[i].gpus.end(), gpus.begin(),
-                               gpus.end()),
+    const auto gpus = gpus_of(e.job);
+    ONES_EXPECT_MSG(std::equal(e.gpus.begin(), e.gpus.end(), gpus.begin(), gpus.end()),
                     "job index diverged: stale GPU list");
-    begin += jobs_[i].count;
   }
-  ONES_EXPECT_MSG(begin == static_cast<int>(buf_.size()),
+  // The lists tile buf_ between the idle prefix and the index.
+  std::vector<std::pair<int, int>> spans;
+  spans.reserve(jobs_.size());
+  for (const JobStat& st : jobs_) spans.emplace_back(st.begin, st.count);
+  std::sort(spans.begin(), spans.end());
+  int begin = idle_count_;
+  for (const auto& [first, count] : spans) {
+    ONES_EXPECT_MSG(first == begin, "job index diverged: misplaced GPU list");
+    begin += count;
+  }
+  const std::size_t buckets = bucket_count();
+  ONES_EXPECT_MSG(buf_.size() >= buckets && begin == lists_end(),
                   "GPU-list buffer holds entries no index owns");
+  // The job index: two buckets or more per stat, each stat in exactly one
+  // bucket, and no absent id resolving: the invalid id and the neighbours
+  // of every placed one (the ids most likely to share its probe run).
+  ONES_EXPECT_MSG(jobs_.empty() || buckets >= 2 * jobs_.size(),
+                  "job index is more than half full");
+  std::vector<int> hits(jobs_.size(), 0);
+  for (auto it = buf_.begin() + lists_end(); it != buf_.end(); ++it) {
+    if (*it == kEmptyBucket) continue;
+    ONES_EXPECT_MSG(*it >= 0 && *it < static_cast<int>(jobs_.size()),
+                    "job index points outside the job stats");
+    ++hits[static_cast<std::size_t>(*it)];
+  }
+  ONES_EXPECT_MSG(std::all_of(hits.begin(), hits.end(), [](int h) { return h == 1; }),
+                  "job index holds a stat other than once");
+  const auto expect_absent = [&](JobId j) {
+    const auto it = expected(j);
+    if (it != jobs.end() && it->job == j) return;  // placed after all
+    ONES_EXPECT_MSG(find_stat(j) == nullptr, "job index resolves an absent job");
+  };
+  expect_absent(kInvalidJob);
+  for (const Expected& e : jobs) {
+    expect_absent(e.job - 1);
+    expect_absent(e.job + 1);
+  }
   if (order_valid_) {
     ONES_EXPECT_MSG(order == order_, "running-job order cache diverged");
   }

@@ -11,10 +11,13 @@
 // maintained incrementally by the mutators (DESIGN.md §12). The evolutionary
 // search calls idle_gpus / gpus_of / global_batch inside its per-candidate
 // loops, so O(G) rescans there are what made 10k-GPU clusters infeasible.
-// The indexes are flat sorted vectors — no unordered containers, so
-// iteration order is deterministic by construction (tools/ones_lint R2).
-// The idle list and every job's GPU list share one buffer, so copying a
-// genome costs a fixed handful of allocations whatever its job count.
+// The indexes are flat vectors — no unordered containers, so iteration
+// order is deterministic by construction (tools/ones_lint R2). The idle
+// list, every job's GPU list and the job index share one buffer, so copying
+// a genome costs a fixed handful of allocations whatever its job count. The
+// job index is a small open-addressing table that finds a job's entry in
+// O(1); it is sized by the jobs placed (never by the largest JobId) and
+// only probed, never iterated.
 // The list views (gpus_of, running_jobs, idle_gpus) are spans into those
 // indexes: valid until the next mutation, so a caller that mutates the
 // assignment while iterating one takes a copy first.
@@ -157,12 +160,15 @@ class Assignment {
     int count = 0;
   };
 
-  /// Position of the first JobStat whose job is not below `job`.
-  std::size_t lower_stat(JobId job) const;
-  /// jobs_ entry of `job`, or nullptr if it holds no GPU (binary search:
-  /// jobs_ is sorted by JobId).
+  /// jobs_ entry of `job`, or nullptr if it holds no GPU (one probe of the
+  /// job index in the common case, whatever the job count).
   const JobStat* find_stat(JobId job) const;
   JobStat* find_stat(JobId job);
+  /// A new, empty stat for `job` (absent), its list at the end of the
+  /// lists, indexed.
+  JobStat& add_stat(JobId job);
+  /// Remove jobs_[pos] and its bucket; the last stat takes its place.
+  void drop_stat(std::size_t pos);
   /// Move idle `gpu` into the job's GPU list (running `local_batch`),
   /// creating the job's entry if it was not placed anywhere.
   void attach(JobId job, GpuId gpu, int local_batch);
@@ -170,22 +176,46 @@ class Assignment {
   /// GPU is healthy, out of buf_ if it is down. Drops the entry when it
   /// empties.
   void detach(JobId job, GpuId gpu, int local_batch);
-  /// Add `delta` to the `begin` of jobs_[first, last).
-  void shift_begins(std::size_t first, std::size_t last, int delta);
+  /// Add `delta` to the `begin` of every list starting in [first, last].
+  void shift_lists(int first, int last, int delta);
+
+  // ---- Job index: open addressing over buf_'s bucket suffix ----
+  std::size_t bucket_count() const {
+    return index_bits_ == 0 ? 0 : std::size_t{1} << index_bits_;
+  }
+  /// End of the GPU lists in buf_, where the index buckets start.
+  int lists_end() const { return static_cast<int>(buf_.size() - bucket_count()); }
+  /// First bucket probed for `job` (Fibonacci hashing).
+  std::size_t home(JobId job) const;
+  /// Bucket holding jobs_ position `pos` (which must be indexed).
+  std::size_t bucket_of(std::size_t pos) const;
+  /// Point an empty bucket on the probe path of jobs_[pos] at `pos`.
+  void index_insert(std::size_t pos);
+  /// Give the index 2^bits buckets (none at 0) and re-index all of jobs_.
+  void rebuild_index(int bits);
 
   std::vector<Slot> slots_;
-  /// One buffer for every GPU list: [idle GPUs ascending | each job's GPUs
-  /// ascending, jobs in JobId order]. Idle GPUs are healthy and unoccupied;
-  /// down GPUs appear only while a worker still occupies them.
+  /// One buffer for every GPU list, and the job index after them:
+  /// [idle GPUs ascending | each job's GPUs ascending | index buckets]. The
+  /// job lists tile their part in no particular job order. Idle GPUs are
+  /// healthy and unoccupied; down GPUs appear only while a worker still
+  /// occupies them. A bucket holds a jobs_ position or -1 (empty), with at
+  /// least two buckets per stat (DESIGN.md §12.2).
   std::vector<GpuId> buf_;
   std::vector<GpuId> down_;     ///< ascending; health != Healthy
-  std::vector<JobStat> jobs_;   ///< ascending by JobId
+  /// One stat per placed job, in no particular order: a job that leaves
+  /// is replaced by the last, so no other stat moves.
+  std::vector<JobStat> jobs_;
   /// running_jobs() cache: jobs_ ordered by lowest GPU, valid while
   /// `order_valid_`; attach/detach/evict invalidate it.
   mutable std::vector<JobId> order_;
   mutable bool order_valid_ = false;
-  /// Length of buf_'s idle prefix. Kept in the padding after order_valid_:
-  /// sizeof(Assignment) stays 128 bytes (DESIGN.md §12.2 says why).
+  /// log2(bucket_count()); 0 = no buckets (no job placed yet, or the last
+  /// one left). It and the idle length sit in the padding after
+  /// order_valid_: sizeof(Assignment) stays 128 bytes (DESIGN.md §12.2 says
+  /// why).
+  std::uint8_t index_bits_ = 0;
+  /// Length of buf_'s idle prefix.
   int idle_count_ = 0;
 };
 

@@ -7,6 +7,7 @@
 #include <numeric>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "common/expect.hpp"
 #include "energy/power_model.hpp"
@@ -135,6 +136,18 @@ FillPrice& fill_price(const Evolution& evo, const cluster::Assignment& candidate
   p.y = std::max(ctx.expected_remaining(v), 1.0);
   p.x1 = ctx.state->oracle->estimate_placed_sps(v, candidate);
   return p;
+}
+
+/// Hash of a candidate's slot array (workers and batches): equal genomes
+/// hash equal, so selection scores each distinct one once.
+std::uint64_t slot_hash(const cluster::Assignment& candidate) {
+  std::uint64_t h = 0xCBF29CE484222325ULL;  // FNV-1a over one word per GPU
+  for (GpuId g = 0; g < candidate.num_gpus(); ++g) {
+    const cluster::Slot& s = candidate.slot(g);
+    h ^= (static_cast<std::uint64_t>(s.job) << 24) ^ static_cast<std::uint64_t>(s.local_batch);
+    h *= 0x100000001B3ULL;
+  }
+  return h;
 }
 
 }  // namespace
@@ -605,8 +618,24 @@ void Evolution::step(const EvolutionContext& ctx) {
   // keep the best K.
   const prof::Scope select_span(profiler_, "evolve.select");
   const RhoMap rho = sample_rho(ctx);
+  // A score is a pure function of (slots, ctx, rho), and about half the
+  // candidates repeat an earlier one's slots (a quarter equal the
+  // incumbent; ROADMAP.md). Group candidates by a hash of their slots and
+  // score each distinct genome once; operator== confirms every reuse, so
+  // the scores are exactly those of scoring all.
+  std::vector<std::pair<std::uint64_t, std::size_t>> keyed(cands.size());
+  for (std::size_t i = 0; i < cands.size(); ++i) keyed[i] = {slot_hash(cands[i]), i};
+  std::sort(keyed.begin(), keyed.end());
   std::vector<double> scores(cands.size());
-  for (std::size_t i = 0; i < cands.size(); ++i) scores[i] = score(cands[i], ctx, rho);
+  for (std::size_t first = 0, end = 0; first < keyed.size(); first = end) {
+    while (end < keyed.size() && keyed[end].first == keyed[first].first) ++end;
+    for (std::size_t i = first; i < end; ++i) {
+      const std::size_t c = keyed[i].second;
+      std::size_t twin = first;
+      while (twin < i && !(cands[keyed[twin].second] == cands[c])) ++twin;
+      scores[c] = twin < i ? scores[keyed[twin].second] : score(cands[c], ctx, rho);
+    }
+  }
   std::vector<std::size_t> order(cands.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::sort(order.begin(), order.end(),

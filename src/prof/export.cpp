@@ -39,18 +39,24 @@ double quantile_ns(const SpanStats& s, double q) {
 }  // namespace
 
 std::string format_profile(const std::vector<SpanStats>& stats) {
-  std::string out =
-      "[prof] span                                     count     total(ms)      self(ms)"
-      "      p50(us)      p90(us)      max(us)\n";
-  char line[320];
+  // The path column fits the longest path (40 characters at least), and the
+  // header is printed through the same widths, so every number sits under
+  // its heading however deep the span tree goes.
+  int width = 40;
+  for (const SpanStats& s : stats) width = std::max(width, static_cast<int>(s.path.size()));
+  std::string out;
+  std::vector<char> line(static_cast<std::size_t>(width) + 256);
+  std::snprintf(line.data(), line.size(), "[prof] %-*s %9s %13s %13s %12s %12s %12s\n", width,
+                "span", "count", "total(ms)", "self(ms)", "p50(us)", "p90(us)", "max(us)");
+  out += line.data();
   for (const SpanStats& s : stats) {
-    std::snprintf(line, sizeof(line),
-                  "[prof] %-40s %9llu %13.3f %13.3f %12.3f %12.3f %12.3f\n", s.path.c_str(),
-                  static_cast<unsigned long long>(s.count),
+    std::snprintf(line.data(), line.size(),
+                  "[prof] %-*s %9llu %13.3f %13.3f %12.3f %12.3f %12.3f\n", width,
+                  s.path.c_str(), static_cast<unsigned long long>(s.count),
                   static_cast<double>(s.total_ns) / 1e6, static_cast<double>(s.self_ns) / 1e6,
                   quantile_ns(s, 0.50) / 1e3, quantile_ns(s, 0.90) / 1e3,
                   static_cast<double>(s.max_ns) / 1e3);
-    out += line;
+    out += line.data();
   }
   return out;
 }

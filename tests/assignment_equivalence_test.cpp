@@ -6,7 +6,11 @@
 // stream at 8, 32, 128 and 2,000 GPUs. After every op it compares everything
 // a caller can observe: slots, idle and down lists, running_jobs() order,
 // every job's views, same_placement and diff against the previous state, and
-// then audits the production indexes.
+// then audits the production indexes. Ids no op places (the invalid id, ids
+// past the largest, ids between sparse ones) must resolve to nothing. The
+// stream runs twice: with dense ids 0..N-1, as simulations number jobs, and
+// with ids that are multiples of 1,000, so that the job index's probes
+// collide and wrap.
 //
 // PickIdleGpus compares sched::pick_idle_gpus with the per-node-vector
 // version it replaced, kept below, on random idle sets up to 10,000 GPUs.
@@ -42,9 +46,25 @@ struct Twin {
   ReferenceAssignment ref;
 };
 
+/// The job ids an episode uses: `count` of them, `stride` apart from 0.
+struct JobIds {
+  JobId count;
+  JobId stride;
+  JobId at(JobId k) const { return k * stride; }
+  JobId draw(Rng& rng) const { return at(rng.uniform_int(0, count - 1)); }
+};
+
+/// A job never placed: 0 GPUs, no list, no batch, on both sides.
+void expect_absent(const Twin& now, JobId j, const std::string& where) {
+  ASSERT_EQ(now.ref.gpu_count(j), 0) << where << ": job " << j;
+  ASSERT_EQ(now.dut.gpu_count(j), 0) << where << ": absent job " << j;
+  ASSERT_TRUE(now.dut.gpus_of(j).empty()) << where << ": absent job " << j;
+  ASSERT_EQ(now.dut.global_batch(j), 0) << where << ": absent job " << j;
+}
+
 /// Everything observable must agree; `prev` is the state before the op, so
 /// same_placement and diff are checked across a real change.
-void expect_same(const Twin& now, const Twin& prev, JobId job_bound, const std::string& where) {
+void expect_same(const Twin& now, const Twin& prev, JobIds ids, const std::string& where) {
   const Assignment& a = now.dut;
   const ReferenceAssignment& r = now.ref;
   ASSERT_EQ(a.num_gpus(), r.num_gpus()) << where;
@@ -56,7 +76,12 @@ void expect_same(const Twin& now, const Twin& prev, JobId job_bound, const std::
   ASSERT_EQ(a.unhealthy_gpus(), r.unhealthy_gpus()) << where;
   ASSERT_EQ(a.healthy_count(), r.healthy_count()) << where;
   ASSERT_EQ(as_vector(a.running_jobs()), as_vector(r.running_jobs())) << where;
-  for (JobId j = 0; j < job_bound; ++j) {
+  for (JobId k = 0; k < ids.count; ++k) {
+    const JobId j = ids.at(k);
+    if (ids.stride > 1) {
+      expect_absent(now, j + 1, where);
+      expect_absent(now, j + ids.stride / 2, where);
+    }
     ASSERT_EQ(as_vector(a.gpus_of(j)), as_vector(r.gpus_of(j))) << where << ": job " << j;
     ASSERT_EQ(a.global_batch(j), r.global_batch(j)) << where << ": job " << j;
     ASSERT_EQ(a.gpu_count(j), r.gpu_count(j)) << where << ": job " << j;
@@ -69,6 +94,9 @@ void expect_same(const Twin& now, const Twin& prev, JobId job_bound, const std::
   ASSERT_EQ(d.stopped, e.stopped) << where;
   ASSERT_EQ(d.reconfigured, e.reconfigured) << where;
   ASSERT_EQ(d.unchanged, e.unchanged) << where;
+  for (const JobId j : {kInvalidJob, ids.at(ids.count), ids.at(ids.count) + 1, JobId{1} << 40}) {
+    expect_absent(now, j, where);
+  }
   ASSERT_EQ(a.to_string(), r.to_string()) << where;
   ASSERT_NO_THROW(a.audit_indexes()) << where;
 }
@@ -83,7 +111,7 @@ SlotHealth random_health(Rng& rng) {
 
 /// A genome-like slot array: runs of one job's workers, idle gaps and a few
 /// down GPUs (never under a worker, as from_slots requires).
-std::vector<Slot> random_slots(Rng& rng, int gpus, JobId job_bound) {
+std::vector<Slot> random_slots(Rng& rng, int gpus, JobIds ids) {
   std::vector<Slot> slots(static_cast<std::size_t>(gpus));
   JobId job = kInvalidJob;
   for (Slot& s : slots) {
@@ -93,7 +121,7 @@ std::vector<Slot> random_slots(Rng& rng, int gpus, JobId job_bound) {
       continue;
     }
     if (roll < 4) continue;  // idle
-    if (job == kInvalidJob || rng.bernoulli(0.3)) job = rng.uniform_int(0, job_bound - 1);
+    if (job == kInvalidJob || rng.bernoulli(0.3)) job = ids.draw(rng);
     s.job = job;
     s.local_batch = static_cast<int>(rng.uniform_int(1, 128));
   }
@@ -116,18 +144,20 @@ GpuId draw_occupied(Rng& rng, const ReferenceAssignment& r) {
   return draw(rng, r.gpus_of(j));
 }
 
-/// One seeded episode of `ops` random operations on `gpus` GPUs.
-void run_episode(std::uint64_t seed, int gpus, int ops) {
+/// One seeded episode of `ops` random operations on `gpus` GPUs, placing
+/// job ids `stride` apart.
+void run_episode(std::uint64_t seed, int gpus, int ops, JobId stride) {
   Rng rng(seed);
-  const JobId job_bound = std::max<JobId>(4, gpus / 6);
+  const JobIds ids{std::max<JobId>(4, gpus / 6), stride};
   Twin t{Assignment(gpus), ReferenceAssignment(gpus)};
   for (int op = 0; op < ops; ++op) {
     const Twin prev = t;
-    const auto kind = rng.uniform_int(0, 14);
-    const JobId job = rng.uniform_int(0, job_bound - 1);
+    const auto kind = rng.uniform_int(0, 15);
+    const JobId job = ids.draw(rng);
     const int batch = static_cast<int>(rng.uniform_int(1, 256));
     std::string where = "seed " + std::to_string(seed) + " G=" + std::to_string(gpus) +
-                        " op " + std::to_string(op) + " kind " + std::to_string(kind);
+                        " stride " + std::to_string(stride) + " op " + std::to_string(op) +
+                        " kind " + std::to_string(kind);
     switch (kind) {
       case 0:
       case 1: {  // place on a free GPU: a new job or one more worker
@@ -169,6 +199,7 @@ void run_episode(std::uint64_t seed, int gpus, int ops) {
                 : running[static_cast<std::size_t>(
                       rng.uniform_int(0, static_cast<std::int64_t>(running.size()) - 1))];
         ASSERT_EQ(t.dut.evict(victim), t.ref.evict(victim)) << where;
+        expect_absent(t, victim, where + " (just evicted)");
         break;
       }
       case 6: {  // evict a job one of whose GPUs went down while occupied
@@ -178,8 +209,9 @@ void run_episode(std::uint64_t seed, int gpus, int ops) {
         const SlotHealth h = rng.bernoulli(0.5) ? SlotHealth::Failed : SlotHealth::Reclaimed;
         t.dut.set_health(g, h);
         t.ref.set_health(g, h);
-        expect_same(t, prev, job_bound, where + " (went down)");
+        expect_same(t, prev, ids, where + " (went down)");
         ASSERT_EQ(t.dut.evict(victim), t.ref.evict(victim)) << where;
+        expect_absent(t, victim, where + " (just evicted)");
         break;
       }
       case 7: {  // set_local_batch
@@ -212,7 +244,7 @@ void run_episode(std::uint64_t seed, int gpus, int ops) {
         break;
       }
       case 11: {  // from_slots: a fresh genome
-        const std::vector<Slot> slots = random_slots(rng, gpus, job_bound);
+        const std::vector<Slot> slots = random_slots(rng, gpus, ids);
         t.dut = Assignment::from_slots(slots);
         t.ref = ReferenceAssignment::from_slots(slots);
         break;
@@ -230,9 +262,9 @@ void run_episode(std::uint64_t seed, int gpus, int ops) {
           copy.dut.place(g, job, batch);
           copy.ref.place(g, job, batch);
         }
-        const JobId victim = rng.uniform_int(0, job_bound - 1);
+        const JobId victim = ids.draw(rng);
         ASSERT_EQ(copy.dut.evict(victim), copy.ref.evict(victim)) << where;
-        expect_same(t, prev, job_bound, where + " (original after copy)");
+        expect_same(t, prev, ids, where + " (original after copy)");
         t = std::move(copy);
         break;
       }
@@ -244,8 +276,18 @@ void run_episode(std::uint64_t seed, int gpus, int ops) {
         EXPECT_THROW(t.ref.place(g, job, batch), std::logic_error) << where;
         break;
       }
+      case 15: {  // evict all jobs but the first, now and then: the index shrinks
+        if (!rng.bernoulli(0.25)) break;
+        const auto running = t.ref.running_jobs();
+        const std::vector<JobId> victims(running.begin() + (running.empty() ? 0 : 1),
+                                         running.end());
+        for (const JobId victim : victims) {
+          ASSERT_EQ(t.dut.evict(victim), t.ref.evict(victim)) << where;
+        }
+        break;
+      }
     }
-    expect_same(t, prev, job_bound, where);
+    expect_same(t, prev, ids, where);
     if (::testing::Test::HasFatalFailure()) return;
   }
 }
@@ -256,12 +298,14 @@ TEST(AssignmentEquivalence, LockStepMatchesReference) {
     int ops;
     int seeds;
   };
-  for (const Size size : {Size{8, 800, 6}, Size{32, 800, 6}, Size{128, 500, 4},
-                          Size{2000, 200, 2}}) {
-    for (int s = 0; s < size.seeds; ++s) {
-      run_episode(0xA55100ULL + static_cast<std::uint64_t>(s * 7919 + size.gpus), size.gpus,
-                  size.ops);
-      if (HasFatalFailure()) return;
+  for (const JobId stride : {JobId{1}, JobId{1000}}) {
+    for (const Size size : {Size{8, 800, 6}, Size{32, 800, 6}, Size{128, 500, 4},
+                            Size{2000, 200, 2}}) {
+      for (int s = 0; s < size.seeds; ++s) {
+        run_episode(0xA55100ULL + static_cast<std::uint64_t>(s * 7919 + size.gpus), size.gpus,
+                    size.ops, stride);
+        if (HasFatalFailure()) return;
+      }
     }
   }
 }

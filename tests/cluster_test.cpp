@@ -10,6 +10,7 @@
 #include "cluster/assignment.hpp"
 #include "cluster/topology.hpp"
 #include "common/rng.hpp"
+#include "core/evolution.hpp"
 
 namespace ones::cluster {
 namespace {
@@ -21,6 +22,10 @@ namespace {
 // this once perfbench pins the allocator's trim and mmap thresholds.
 static_assert(sizeof(Assignment) == 128,
               "Assignment changed size: re-measure perfbench setup_s (ROADMAP item 5)");
+// The same trap holds the ONES scheduler's search object, whose scratch is
+// thread-local for that reason (ROADMAP item 1).
+static_assert(sizeof(core::Evolution) == 144,
+              "Evolution changed size: re-measure perfbench setup_s (ROADMAP item 5)");
 
 template <typename T>
 std::vector<T> as_vector(std::span<const T> view) {

@@ -198,6 +198,36 @@ TEST(ProfExport, TablePrintsQuantilesFromLog2Buckets) {
   EXPECT_NE(table.find("p90(us)"), std::string::npos);
 }
 
+TEST(ProfExport, TableColumnsStayAlignedUnderLongPaths) {
+  // A 45-character path is longer than the 40-character minimum column; its
+  // row and the header must still line up.
+  prof::SpanStats shallow;
+  shallow.path = "decision";
+  shallow.count = 7;
+  prof::SpanStats deep;
+  deep.path = "decision/arrival/evolve.step/evolve.offspring";
+  ASSERT_EQ(deep.path.size(), 45u);
+  deep.count = 1234;
+  const std::string table = prof::format_profile({shallow, deep});
+  std::istringstream lines(table);
+  std::string header;
+  std::getline(lines, header);
+  const std::size_t count_end = header.find("count") + std::string("count").size();
+  ASSERT_NE(header.find("count"), std::string::npos);
+  int rows = 0;
+  for (std::string row; std::getline(lines, row); ++rows) {
+    ASSERT_EQ(row.size(), header.size()) << row;
+    // The count is right-aligned: its last digit ends where "count" does.
+    ASSERT_GT(count_end, 0u);
+    EXPECT_NE(row[count_end - 1], ' ') << row;
+    EXPECT_EQ(row[count_end], ' ') << row;
+  }
+  EXPECT_EQ(rows, 2);
+  EXPECT_NE(table.find("decision/arrival/evolve.step/evolve.offspring      1234 "),
+            std::string::npos)
+      << table;
+}
+
 TEST(ProfExport, JsonIsParseableAndStable) {
   prof::Profiler p;
   run_span_program(p);
