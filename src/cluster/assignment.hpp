@@ -225,7 +225,6 @@ struct AssignmentDelta {
   std::vector<JobId> started;      ///< jobs with workers only in `next`
   std::vector<JobId> stopped;      ///< jobs with workers only in `prev`
   std::vector<JobId> reconfigured; ///< jobs whose worker set or batches changed
-  std::vector<JobId> unchanged;
 };
 
 AssignmentDelta diff(const Assignment& prev, const Assignment& next);

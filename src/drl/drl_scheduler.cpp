@@ -81,56 +81,50 @@ std::vector<DrlScheduler::Action> DrlScheduler::enumerate_actions(
 std::optional<cluster::Assignment> DrlScheduler::on_event(
     const sched::ClusterState& state, const sched::SchedulerEvent& /*event*/) {
   // The agent is invoked on every cluster event (arrivals, completions and
-  // epoch boundaries) but never preempts running jobs.
+  // epoch boundaries) but never preempts running jobs. It produces ONE
+  // action at a time, each launching one job (the paper's §2.1/§5 critique
+  // of DRL schedulers' action-space limits — only one job can be
+  // rescheduled at each decision point).
+  const auto actions = enumerate_actions(state, *state.current);
+  if (actions.empty()) return std::nullopt;
 
-  cluster::Assignment next = *state.current;
-  bool changed = false;
-  // The DRL agent produces ONE action at a time, each launching one job
-  // (the paper's §2.1/§5 critique of DRL schedulers' action-space limits —
-  // only one job can be rescheduled at each decision point).
-  {
-    const auto actions = enumerate_actions(state, next);
-    if (actions.empty()) return std::nullopt;
-
-    // Softmax over policy scores.
-    std::vector<double> scores(actions.size());
-    double max_s = -1e300;
-    for (std::size_t i = 0; i < actions.size(); ++i) {
-      scores[i] = policy_.forward(actions[i].features)[0];
-      max_s = std::max(max_s, scores[i]);
-    }
-    std::vector<double> probs(actions.size());
-    double z = 0.0;
-    for (std::size_t i = 0; i < actions.size(); ++i) {
-      probs[i] = std::exp(scores[i] - max_s);
-      z += probs[i];
-    }
-    for (auto& p : probs) p /= z;
-
-    std::size_t chosen;
-    if (exploration_) {
-      chosen = rng_.weighted_index(probs);
-    } else {
-      chosen = static_cast<std::size_t>(
-          std::max_element(probs.begin(), probs.end()) - probs.begin());
-    }
-    const Action& act = actions[chosen];
-    const auto gpus = sched::pick_idle_gpus(next, *state.topology, act.workers);
-    ONES_EXPECT_MSG(!gpus.empty(), "enumerated an infeasible DRL action");
-    const auto* job = state.job(act.job);
-    ONES_EXPECT(job != nullptr);
-    sched::place_job_even(next, act.job, gpus, job->spec.requested_batch);
-    changed = true;
-
-    if (exploration_) {
-      Decision d;
-      d.actions = actions;
-      d.probs = probs;
-      d.chosen = chosen;
-      episode_.push_back(std::move(d));
-    }
+  // Softmax over policy scores.
+  std::vector<double> scores(actions.size());
+  double max_s = -1e300;
+  for (std::size_t i = 0; i < actions.size(); ++i) {
+    scores[i] = policy_.forward(actions[i].features)[0];
+    max_s = std::max(max_s, scores[i]);
   }
-  if (!changed) return std::nullopt;
+  std::vector<double> probs(actions.size());
+  double z = 0.0;
+  for (std::size_t i = 0; i < actions.size(); ++i) {
+    probs[i] = std::exp(scores[i] - max_s);
+    z += probs[i];
+  }
+  for (auto& p : probs) p /= z;
+
+  std::size_t chosen;
+  if (exploration_) {
+    chosen = rng_.weighted_index(probs);
+  } else {
+    chosen = static_cast<std::size_t>(
+        std::max_element(probs.begin(), probs.end()) - probs.begin());
+  }
+  const Action& act = actions[chosen];
+  cluster::Assignment next = *state.current;
+  const auto gpus = sched::pick_idle_gpus(next, *state.topology, act.workers);
+  ONES_EXPECT_MSG(!gpus.empty(), "enumerated an infeasible DRL action");
+  const auto* job = state.job(act.job);
+  ONES_EXPECT(job != nullptr);
+  sched::place_job_even(next, act.job, gpus, job->spec.requested_batch);
+
+  if (exploration_) {
+    Decision d;
+    d.actions = actions;
+    d.probs = probs;
+    d.chosen = chosen;
+    episode_.push_back(std::move(d));
+  }
   return next;
 }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/expect.hpp"
 #include "common/math_util.hpp"
 #include "sched/oracle.hpp"
 #include "sched/placement.hpp"
@@ -101,37 +100,14 @@ std::optional<cluster::Assignment> OptimusScheduler::on_event(const ClusterState
     --capacity;
   }
 
-  // Emit only if something changes (same job set with same worker counts and
-  // batches means the cluster can keep running undisturbed).
-  bool same = true;
-  std::size_t scheduled = 0;
+  // Every job with workers, at its count; repack leaves the cluster
+  // undisturbed when that is what already runs.
+  std::vector<Pick> picks;
+  picks.reserve(cands.size());
   for (const Cand& c : cands) {
-    if (c.workers == 0) {
-      if (c.job->status == JobStatus::Running) same = false;
-      continue;
-    }
-    ++scheduled;
-    if (c.job->status != JobStatus::Running || c.job->gpus != c.workers) same = false;
+    if (c.workers > 0) picks.push_back({c.job, c.workers});
   }
-  if (same && scheduled == state.current->running_jobs().size()) return std::nullopt;
-
-  cluster::Assignment next = cluster::Assignment::empty_like(*state.current);
-  for (const Cand& c : cands) {
-    if (c.workers > 0 && c.job->status == JobStatus::Running && c.job->gpus == c.workers) {
-      for (GpuId g : state.current->gpus_of(c.job->spec.id)) {
-        next.place(g, c.job->spec.id, state.current->slot(g).local_batch);
-      }
-    }
-  }
-  for (const Cand& c : cands) {
-    if (c.workers > 0 &&
-        !(c.job->status == JobStatus::Running && c.job->gpus == c.workers)) {
-      const auto gpus = pick_idle_gpus(next, *state.topology, c.workers);
-      ONES_EXPECT_MSG(!gpus.empty(), "capacity accounting broke in Optimus");
-      place_job_even(next, c.job->spec.id, gpus, c.job->spec.requested_batch);
-    }
-  }
-  return next;
+  return repack(state, picks, "Optimus");
 }
 
 }  // namespace ones::sched

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 #include <span>
+#include <string>
 
 #include "common/expect.hpp"
 #include "model/throughput.hpp"
@@ -92,6 +93,33 @@ void place_job_even(cluster::Assignment& assignment, JobId job,
   for (std::size_t i = 0; i < gpus.size(); ++i) {
     assignment.place(gpus[i], job, split[i]);
   }
+}
+
+std::optional<cluster::Assignment> repack(const ClusterState& state,
+                                          std::span<const Pick> picks,
+                                          std::string_view policy) {
+  const cluster::Assignment& current = *state.current;
+  const auto kept = [](const Pick& p) {
+    return p.job->status == JobStatus::Running && p.workers == p.job->gpus;
+  };
+  if (picks.size() == current.running_jobs().size() && std::ranges::all_of(picks, kept)) {
+    return std::nullopt;
+  }
+
+  cluster::Assignment next = cluster::Assignment::empty_like(current);
+  for (const Pick& p : picks) {
+    if (!kept(p)) continue;
+    for (const GpuId g : current.gpus_of(p.job->spec.id)) {
+      next.place(g, p.job->spec.id, current.slot(g).local_batch);
+    }
+  }
+  for (const Pick& p : picks) {
+    if (kept(p)) continue;
+    const auto gpus = pick_idle_gpus(next, *state.topology, p.workers);
+    ONES_EXPECT_MSG(!gpus.empty(), "capacity accounting broke in " + std::string(policy));
+    place_job_even(next, p.job->spec.id, gpus, p.job->spec.requested_batch);
+  }
+  return next;
 }
 
 }  // namespace ones::sched

@@ -1,6 +1,7 @@
 #include "sched/srtf.hpp"
 
 #include <algorithm>
+#include <ranges>
 
 #include "common/expect.hpp"
 #include "sched/oracle.hpp"
@@ -32,45 +33,9 @@ std::optional<cluster::Assignment> SrtfOracleScheduler::on_event(
   });
 
   // Greedy selection with skip-over: shortest jobs first, fit what we can.
-  int capacity = state.current->healthy_count();
-  std::vector<const JobView*> selected;
-  for (const Cand& c : cands) {
-    if (c.job->spec.requested_gpus <= capacity) {
-      selected.push_back(c.job);
-      capacity -= c.job->spec.requested_gpus;
-    }
-  }
-
-  // No change if the selected set matches what is already running.
-  const auto running = state.current->running_jobs();
-  if (selected.size() == running.size()) {
-    bool same = true;
-    for (const JobView* j : selected) {
-      if (std::find(running.begin(), running.end(), j->spec.id) == running.end()) {
-        same = false;
-        break;
-      }
-    }
-    if (same) return std::nullopt;
-  }
-
-  cluster::Assignment next = cluster::Assignment::empty_like(*state.current);
-  // Keep the placement of jobs that stay scheduled (avoid pointless moves).
-  for (const JobView* j : selected) {
-    if (j->status == JobStatus::Running) {
-      for (GpuId g : state.current->gpus_of(j->spec.id)) {
-        next.place(g, j->spec.id, state.current->slot(g).local_batch);
-      }
-    }
-  }
-  for (const JobView* j : selected) {
-    if (j->status != JobStatus::Running) {
-      const auto gpus = pick_idle_gpus(next, *state.topology, j->spec.requested_gpus);
-      ONES_EXPECT_MSG(!gpus.empty(), "capacity accounting broke in SRTF*");
-      place_job_even(next, j->spec.id, gpus, j->spec.requested_batch);
-    }
-  }
-  return next;
+  const auto picks = fit_requested(cands | std::views::transform(&Cand::job),
+                                   state.current->healthy_count());
+  return repack(state, picks, "SRTF*");
 }
 
 }  // namespace ones::sched

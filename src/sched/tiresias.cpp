@@ -1,8 +1,8 @@
 #include "sched/tiresias.hpp"
 
 #include <algorithm>
+#include <ranges>
 
-#include "common/expect.hpp"
 #include "sched/placement.hpp"
 
 namespace ones::sched {
@@ -24,7 +24,6 @@ std::optional<cluster::Assignment> TiresiasScheduler::on_event(const ClusterStat
   struct Cand {
     const JobView* job;
     int queue;
-    double waited;
   };
   std::vector<Cand> cands;
   for (const JobView* job : state.active_jobs()) {
@@ -35,7 +34,7 @@ std::optional<cluster::Assignment> TiresiasScheduler::on_event(const ClusterStat
         q = 0;  // STARVE-FREE promotion
       }
     }
-    cands.push_back({job, q, 0.0});
+    cands.push_back({job, q});
   }
   // Priority: lower queue first; FIFO (arrival order) within a queue.
   std::sort(cands.begin(), cands.end(), [](const Cand& a, const Cand& b) {
@@ -43,43 +42,9 @@ std::optional<cluster::Assignment> TiresiasScheduler::on_event(const ClusterStat
     return a.job->spec.id < b.job->spec.id;
   });
 
-  int capacity = state.current->healthy_count();
-  std::vector<const JobView*> selected;
-  for (const Cand& c : cands) {
-    if (c.job->spec.requested_gpus <= capacity) {
-      selected.push_back(c.job);
-      capacity -= c.job->spec.requested_gpus;
-    }
-  }
-
-  const auto running = state.current->running_jobs();
-  if (selected.size() == running.size()) {
-    bool same = true;
-    for (const JobView* j : selected) {
-      if (std::find(running.begin(), running.end(), j->spec.id) == running.end()) {
-        same = false;
-        break;
-      }
-    }
-    if (same) return std::nullopt;
-  }
-
-  cluster::Assignment next = cluster::Assignment::empty_like(*state.current);
-  for (const JobView* j : selected) {
-    if (j->status == JobStatus::Running) {
-      for (GpuId g : state.current->gpus_of(j->spec.id)) {
-        next.place(g, j->spec.id, state.current->slot(g).local_batch);
-      }
-    }
-  }
-  for (const JobView* j : selected) {
-    if (j->status != JobStatus::Running) {
-      const auto gpus = pick_idle_gpus(next, *state.topology, j->spec.requested_gpus);
-      ONES_EXPECT_MSG(!gpus.empty(), "capacity accounting broke in Tiresias");
-      place_job_even(next, j->spec.id, gpus, j->spec.requested_batch);
-    }
-  }
-  return next;
+  const auto picks = fit_requested(cands | std::views::transform(&Cand::job),
+                                   state.current->healthy_count());
+  return repack(state, picks, "Tiresias");
 }
 
 }  // namespace ones::sched

@@ -485,7 +485,7 @@ inline AssignmentDelta reference_diff(const ReferenceAssignment& prev, const Ref
       continue;
     }
     // Same job on both sides: did its placement or batches change?
-    (prev.same_placement(next, j) ? d.unchanged : d.reconfigured).push_back(j);
+    if (!prev.same_placement(next, j)) d.reconfigured.push_back(j);
   }
   for (const JobId j : prev_ids) {
     if (!std::binary_search(next_sorted.begin(), next_sorted.end(), j)) {

@@ -1,12 +1,14 @@
-// Unit tests for src/sched: throughput oracle, placement helper, the
+// Unit tests for src/sched: throughput oracle, placement helpers, the
 // simulation driver contract, and the FIFO / SRTF / Tiresias / Optimus
 // baselines.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -173,6 +175,86 @@ TEST(Placement, ReturnsEmptyWhenInsufficient) {
   cluster::Assignment a(topo.total_gpus());
   for (int g = 0; g < 7; ++g) a.place(g, 9, 8);
   EXPECT_TRUE(pick_idle_gpus(a, topo, 2).empty());
+}
+
+/// A hand-built state for repack on 2x4 GPUs: jobs 0 and 1 (2 GPUs
+/// requested each) run on GPUs {0,1} and {4,5}; job 2 waits.
+struct RepackCase {
+  cluster::Topology topo = small_topology();
+  cluster::Assignment current{topo.total_gpus()};
+  std::array<JobView, 3> jobs = {make_view(0, "ResNet18", 10000),
+                                 make_view(1, "ResNet18", 10000),
+                                 make_view(2, "ResNet18", 10000)};
+  ClusterState state;
+
+  RepackCase() {
+    run(jobs[0], {0, 1});
+    run(jobs[1], {4, 5});
+    for (const JobView& job : jobs) state.admit(job);
+    state.topology = &topo;
+    state.current = &current;
+  }
+  void run(JobView& job, const std::vector<GpuId>& gpus) {
+    place_job_even(current, job.spec.id, gpus, job.spec.requested_batch);
+    job.status = JobStatus::Running;
+    job.gpus = static_cast<int>(gpus.size());
+  }
+};
+
+std::vector<GpuId> gpus_of(const cluster::Assignment& a, JobId job) {
+  const auto gpus = a.gpus_of(job);
+  return {gpus.begin(), gpus.end()};
+}
+
+TEST(Placement, RepackReturnsNulloptForTheRunningSetAtLiveSizes) {
+  RepackCase c;
+  const std::vector<const JobView*> order = {&c.jobs[1], &c.jobs[0]};
+  const auto picks = fit_requested(order, c.current.healthy_count());
+  ASSERT_EQ(picks.size(), 2u);
+  EXPECT_FALSE(repack(c.state, picks, "test").has_value());
+  // Dropping a running job, or adding the waiting one, is a change.
+  EXPECT_TRUE(repack(c.state, std::span(picks).first(1), "test").has_value());
+  const std::vector<const JobView*> all = {&c.jobs[0], &c.jobs[1], &c.jobs[2]};
+  const auto next = repack(c.state, fit_requested(all, c.current.healthy_count()), "test");
+  ASSERT_TRUE(next.has_value());
+  EXPECT_EQ(next->gpu_count(2), 2);
+}
+
+TEST(Placement, RepackReplacesARunningPickWithANewWorkerCount) {
+  RepackCase c;
+  const std::vector<Pick> picks = {{&c.jobs[0], 2}, {&c.jobs[1], 4}};
+  const auto next = repack(c.state, picks, "test");
+  ASSERT_TRUE(next.has_value());
+  EXPECT_EQ(gpus_of(*next, 0), (std::vector<GpuId>{0, 1}));
+  // Job 1 leaves GPUs 4-5 and gets the best-fit node for four workers, with
+  // its requested batch split evenly.
+  EXPECT_EQ(gpus_of(*next, 1), (std::vector<GpuId>{4, 5, 6, 7}));
+  EXPECT_EQ(next->global_batch(1), c.jobs[1].spec.requested_batch);
+  EXPECT_EQ(next->slot(4).local_batch, c.jobs[1].spec.requested_batch / 4);
+}
+
+// The elastic case (Gandiva): a fault shrank running job 1 to one worker,
+// below its 2 requested GPUs. It keeps that GPU and batch, and capacity is
+// still charged its requested size.
+TEST(Placement, RepackKeepsARunningJobShrunkBelowItsRequest) {
+  RepackCase c;
+  c.current.set_health(5, cluster::SlotHealth::Failed);
+  c.current.clear(5);  // the elastic shrink drops the lost worker
+  c.jobs[1].gpus = 1;
+  const int local_batch = c.current.slot(4).local_batch;
+  const std::vector<const JobView*> order = {&c.jobs[0], &c.jobs[1], &c.jobs[2]};
+
+  const auto picks = fit_requested(order, c.current.healthy_count());
+  ASSERT_EQ(picks.size(), 3u);
+  EXPECT_EQ(picks[1].workers, 1);
+  const auto next = repack(c.state, picks, "test");
+  ASSERT_TRUE(next.has_value());
+  EXPECT_EQ(gpus_of(*next, 1), (std::vector<GpuId>{4}));
+  EXPECT_EQ(next->slot(4).local_batch, local_batch);
+  EXPECT_EQ(next->gpu_count(2), 2);
+
+  // Five GPUs fit jobs 0 and 1 at their requested sizes, not job 2 as well.
+  EXPECT_EQ(fit_requested(order, 5).size(), 2u);
 }
 
 SimulationConfig small_sim_config() {

@@ -15,7 +15,11 @@
 #include "core/ones_scheduler.hpp"
 #include "elastic/protocol.hpp"
 #include "exp/run_spec.hpp"
+#include "sched/gandiva.hpp"
+#include "sched/optimus.hpp"
 #include "sched/simulation.hpp"
+#include "sched/srtf.hpp"
+#include "sched/tiresias.hpp"
 #include "trace/record.hpp"
 #include "trace/replay.hpp"
 #include "trace/sink.hpp"
@@ -175,8 +179,11 @@ TEST(GoldenTrace, Ones128GpuDigestIsPinned) {
       << "128-GPU ONES trace digest changed; new digest: 0x" << std::hex << digest;
 }
 
-/// The ONES search variants that share its policy front-end and operators,
-/// each pinned on the same quickstart trace (same re-pin rules as above).
+/// Policies pinned on the same quickstart trace (same re-pin rules as
+/// above): the ONES search variants that share its policy front-end and
+/// operators, and the gang baselines that share sched::repack. The
+/// quickstart exercises repack's keep and re-place paths: Tiresias, SRTF*
+/// and Gandiva preempt jobs in it, and Optimus resizes running ones.
 struct GoldenVariant {
   const char* name;
   std::unique_ptr<sched::Scheduler> (*make)();
@@ -185,6 +192,11 @@ struct GoldenVariant {
 
 std::unique_ptr<sched::Scheduler> make_ones(const core::OnesConfig& config) {
   return std::make_unique<core::OnesScheduler>(config);
+}
+
+template <typename Policy>
+std::unique_ptr<sched::Scheduler> make() {
+  return std::make_unique<Policy>();
 }
 
 const GoldenVariant kGoldenVariants[] = {
@@ -217,11 +229,11 @@ const GoldenVariant kGoldenVariants[] = {
        return make_ones(c);
      },
      0x25a6ec2257fdf4c8ULL},
-    {"Annealing",
-     []() -> std::unique_ptr<sched::Scheduler> {
-       return std::make_unique<core::AnnealingScheduler>();
-     },
-     0x08b7ed130dcd98e9ULL},
+    {"Annealing", make<core::AnnealingScheduler>, 0x08b7ed130dcd98e9ULL},
+    {"Tiresias", make<sched::TiresiasScheduler>, 0x8010194bf30c2ba1ULL},
+    {"SRTF", make<sched::SrtfOracleScheduler>, 0xa23ae7410fb1cc54ULL},
+    {"Optimus", make<sched::OptimusScheduler>, 0x56511b9a4033bb89ULL},
+    {"Gandiva", make<sched::GandivaScheduler>, 0x8d1e4e175b4eee2cULL},
 };
 
 void PrintTo(const GoldenVariant& variant, std::ostream* os) { *os << variant.name; }
