@@ -14,6 +14,10 @@
 // (engine.*, elastic.stage, elastic.checkpoint — DESIGN.md §14) instead of
 // ad-hoc timers: `--prof-dir=P` writes `fig16_overhead.prof.json` and the
 // span table lands in the BENCH_fig16_overhead.json profile section.
+// `--metrics-dir=P` exports that registry as `fig16_overhead.timeline.csv` /
+// `.prom` / `.metrics.json`, and `--trace-dir=P` writes every elastic
+// session's protocol milestones (one job per model, in catalog order) to
+// `fig16_overhead.jsonl` / `.trace.json`.
 #include <cstdio>
 #include <optional>
 
@@ -23,7 +27,9 @@
 #include "harness.hpp"
 #include "model/task.hpp"
 #include "sim/engine.hpp"
+#include "telemetry/exporters.hpp"
 #include "telemetry/registry.hpp"
+#include "trace/sink.hpp"
 
 using namespace ones;
 
@@ -36,6 +42,8 @@ int main(int argc, char** argv) {
   std::optional<prof::Profiler> profiler;
   if (!opt.grid.prof_dir.empty()) profiler.emplace();
   prof::Profiler* prof_ptr = profiler ? &*profiler : nullptr;
+  std::optional<trace::RunTraceWriter> writer;
+  if (!opt.grid.trace_dir.empty()) writer.emplace(opt.grid.trace_dir, "fig16_overhead");
   const cluster::Topology topo(cluster::TopologyConfig{});
   const elastic::CostConfig costs;
   const elastic::ScalingCostModel cost_model(costs);
@@ -46,9 +54,10 @@ int main(int argc, char** argv) {
 
   bool shape_ok = true;
   telemetry::MetricsRegistry registry;
+  JobId job = 0;
   for (const auto& profile : model::builtin_profiles()) {
     elastic::ScalingRequest req;
-    req.job = 1;
+    req.job = ++job;
     req.old_workers = {0, 1};
     req.new_workers = {0, 1, 2, 3};
     req.old_global_batch = 2 * std::min(profile.b_ref, profile.max_local_batch);
@@ -61,6 +70,7 @@ int main(int argc, char** argv) {
                                     [](const elastic::ScalingReport&) {});
     session.set_metrics(&registry);
     session.set_profiler(prof_ptr);
+    if (writer) session.set_phase_hook(trace::protocol_phase_hook(*writer, req.job));
     session.start();
     engine.run();
 
@@ -110,6 +120,10 @@ int main(int argc, char** argv) {
   std::printf("\nShape check vs the paper (elastic ~1 s, checkpoint tens of s): %s\n",
               shape_ok ? "OK" : "MISMATCH");
   report.metric("shape_ok", shape_ok ? 1.0 : 0.0);
+  if (!opt.grid.metrics_dir.empty()) {
+    telemetry::write_metrics_files(registry, opt.grid.metrics_dir, "fig16_overhead");
+  }
+  if (writer) writer->close();
   if (profiler) {
     report.profile().add(*profiler);
     prof::write_profile_file(opt.grid.prof_dir, "fig16_overhead", profiler->stats());

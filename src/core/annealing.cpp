@@ -5,13 +5,13 @@
 namespace ones::core {
 
 AnnealingScheduler::AnnealingScheduler(const AnnealingConfig& config)
-    : config_(config),
-      policy_(config.policy, config.predictor, config.use_predictor),
-      toolbox_([&] {
-        EvolutionConfig c = config.operators;
-        c.population_size = 1;  // unused; the toolbox only runs operators
-        return c;
-      }()),
+    : GenomeScheduler(config.policy, config.predictor, config.use_predictor,
+                      [&] {
+                        EvolutionConfig c = config.operators;
+                        c.population_size = 1;  // unused; evolution_ only runs operators
+                        return c;
+                      }()),
+      config_(config),
       rng_(config.operators.seed ^ 0x5AD0C0DEULL),
       temperature_(config.initial_temperature) {}
 
@@ -22,21 +22,21 @@ std::optional<cluster::Assignment> AnnealingScheduler::on_event(
 
   // (Re)seed the walk from the live schedule, synchronized with reality.
   cluster::Assignment incumbent = *state.current;
-  toolbox_.repair(incumbent, ctx);
-  toolbox_.refresh(incumbent, ctx);
+  evolution_.repair(incumbent, ctx);
+  evolution_.refresh(incumbent, ctx);
 
-  const RhoMap rho = toolbox_.mean_rho(ctx);
-  double best_score = toolbox_.score(incumbent, ctx, rho);
+  const RhoMap rho = evolution_.mean_rho(ctx);
+  double best_score = evolution_.score(incumbent, ctx, rho);
   cluster::Assignment best = incumbent;
   cluster::Assignment walker = std::move(incumbent);
   double walker_score = best_score;
 
   for (int i = 0; i < config_.proposals_per_event; ++i) {
     cluster::Assignment proposal = walker;
-    toolbox_.mutate(proposal, ctx);
-    toolbox_.repair(proposal, ctx);
+    evolution_.mutate(proposal, ctx);
+    evolution_.repair(proposal, ctx);
     if (config_.operators.use_reorder) Evolution::reorder_in_place(proposal);
-    const double score = toolbox_.score(proposal, ctx, rho);
+    const double score = evolution_.score(proposal, ctx, rho);
     ++proposals_;
 
     const double delta = score - walker_score;

@@ -28,14 +28,11 @@ struct AnnealingConfig {
   bool use_predictor = true;
 };
 
-class AnnealingScheduler : public sched::Scheduler {
+class AnnealingScheduler : public GenomeScheduler {
  public:
   explicit AnnealingScheduler(const AnnealingConfig& config = {});
 
   std::string name() const override { return "ONES-SA"; }
-  sched::ScalingMechanism mechanism() const override {
-    return sched::ScalingMechanism::Elastic;
-  }
 
   std::optional<cluster::Assignment> on_event(const sched::ClusterState& state,
                                               const sched::SchedulerEvent& event) override;
@@ -46,8 +43,6 @@ class AnnealingScheduler : public sched::Scheduler {
 
  private:
   AnnealingConfig config_;
-  OnesPolicy policy_;
-  Evolution toolbox_;  ///< operator implementations (population unused)
   Rng rng_;
   double temperature_;
   std::uint64_t proposals_ = 0;

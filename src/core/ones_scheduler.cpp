@@ -95,8 +95,8 @@ void OnesPolicy::deployed(const sched::ClusterState& state,
 }
 
 OnesScheduler::OnesScheduler(const OnesConfig& config)
-    : policy_(config.policy, config.predictor, config.use_predictor),
-      evolution_(config.evolution) {}
+    : GenomeScheduler(config.policy, config.predictor, config.use_predictor,
+                      config.evolution) {}
 
 std::optional<cluster::Assignment> OnesScheduler::on_event(
     const sched::ClusterState& state, const sched::SchedulerEvent& event) {

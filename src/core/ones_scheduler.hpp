@@ -64,28 +64,23 @@ class OnesPolicy {
   std::vector<int> epochs_at_deploy_;
 };
 
-class OnesScheduler : public sched::Scheduler {
+/// The part ONES and ONES-SA share: the OnesPolicy front-end and the genome
+/// operators. Attaching a metrics registry or profiler forwards it into
+/// both, so the two searches expose the same instruments (predictor fits
+/// and error samples; the evolution's own spans and counters fire only from
+/// `Evolution::step`, which ONES-SA never calls).
+class GenomeScheduler : public sched::Scheduler {
  public:
-  explicit OnesScheduler(const OnesConfig& config = {});
-
-  std::string name() const override { return "ONES"; }
   sched::ScalingMechanism mechanism() const override {
     return sched::ScalingMechanism::Elastic;
   }
 
-  std::optional<cluster::Assignment> on_event(const sched::ClusterState& state,
-                                              const sched::SchedulerEvent& event) override;
-
-  /// Propagates the registry into the evolutionary search and the predictor
-  /// so their internal instruments share the run's registry.
   void set_metrics(telemetry::MetricsRegistry* metrics) override {
     sched::Scheduler::set_metrics(metrics);
     evolution_.set_metrics(metrics);
     policy_.predictor().set_metrics(metrics);
   }
 
-  /// Propagates the profiler the same way (DESIGN.md §14): evolution
-  /// operator spans and predictor fit spans land in the run's profile.
   void set_profiler(prof::Profiler* profiler) override {
     sched::Scheduler::set_profiler(profiler);
     evolution_.set_profiler(profiler);
@@ -95,12 +90,29 @@ class OnesScheduler : public sched::Scheduler {
   // ---- introspection (tests, examples, benches) ----
   const predict::ProgressPredictor& predictor() const { return policy_.predictor(); }
   const BatchLimitManager& limits() const { return policy_.limits(); }
+
+ protected:
+  GenomeScheduler(const BatchPolicyConfig& policy, const predict::PredictorConfig& predictor,
+                  bool use_predictor, const EvolutionConfig& evolution)
+      : policy_(policy, predictor, use_predictor), evolution_(evolution) {}
+
+  OnesPolicy policy_;
+  Evolution evolution_;
+};
+
+class OnesScheduler : public GenomeScheduler {
+ public:
+  explicit OnesScheduler(const OnesConfig& config = {});
+
+  std::string name() const override { return "ONES"; }
+
+  std::optional<cluster::Assignment> on_event(const sched::ClusterState& state,
+                                              const sched::SchedulerEvent& event) override;
+
   Evolution& evolution() { return evolution_; }
   std::uint64_t evolution_rounds() const { return rounds_; }
 
  private:
-  OnesPolicy policy_;
-  Evolution evolution_;
   std::uint64_t rounds_ = 0;
 };
 

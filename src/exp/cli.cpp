@@ -32,6 +32,17 @@ void print_usage(std::FILE* out, const char* prog, const char* extra_usage) {
   if (extra_usage != nullptr) std::fputs(extra_usage, out);
 }
 
+/// The instrument output-dir flags, parsed and validated from this one table.
+struct OutputDirFlag {
+  const char* flag;
+  std::string GridOptions::*dir;
+};
+constexpr OutputDirFlag kOutputDirFlags[] = {
+    {"--trace-dir", &GridOptions::trace_dir},
+    {"--metrics-dir", &GridOptions::metrics_dir},
+    {"--prof-dir", &GridOptions::prof_dir},
+};
+
 /// Parse the integer value of "--flag=V"; exits on malformed or < min.
 int parse_int_value(const char* arg, const char* value, int min, const char* prog) {
   char* end = nullptr;
@@ -74,12 +85,8 @@ BenchOptions parse_bench_cli(int argc, char** argv,
       opt.grid.use_cache = false;
     } else if (std::strncmp(arg, "--cache-dir=", 12) == 0) {
       opt.grid.cache_dir = arg + 12;
-    } else if (std::strncmp(arg, "--trace-dir=", 12) == 0) {
-      opt.grid.trace_dir = arg + 12;
-    } else if (std::strncmp(arg, "--metrics-dir=", 14) == 0) {
-      opt.grid.metrics_dir = arg + 14;
-    } else if (std::strncmp(arg, "--prof-dir=", 11) == 0) {
-      opt.grid.prof_dir = arg + 11;
+    } else if (parse_output_dir_flag(arg, opt.grid)) {
+      // one of the instrument output dirs
     } else if (std::strncmp(arg, "--bench-json=", 13) == 0) {
       opt.bench_json = arg + 13;
     } else if (std::strcmp(arg, "--no-bench-json") == 0) {
@@ -94,37 +101,49 @@ BenchOptions parse_bench_cli(int argc, char** argv,
       std::exit(2);
     }
   }
-  validate_output_dir(opt.grid.trace_dir, "--trace-dir", prog);
-  validate_output_dir(opt.grid.metrics_dir, "--metrics-dir", prog);
-  validate_output_dir(opt.grid.prof_dir, "--prof-dir", prog);
+  validate_output_dirs(opt.grid, prog);
   return opt;
 }
 
-void validate_output_dir(const std::string& dir, const char* flag, const char* prog) {
-  if (dir.empty()) return;
-  namespace fs = std::filesystem;
-  std::error_code ec;
-  fs::create_directories(dir, ec);
-  if (ec) {
-    std::fprintf(stderr, "%s: %s: cannot create directory '%s': %s\n", prog, flag,
-                 dir.c_str(), ec.message().c_str());
-    std::exit(2);
-  }
-  if (!fs::is_directory(dir, ec) || ec) {
-    std::fprintf(stderr, "%s: %s: '%s' is not a directory\n", prog, flag, dir.c_str());
-    std::exit(2);
-  }
-  const fs::path probe = fs::path(dir) / ".write-probe";
-  {
-    std::ofstream f(probe, std::ios::binary | std::ios::trunc);
-    f << "probe";
-    if (!f.good()) {
-      std::fprintf(stderr, "%s: %s: directory '%s' is not writable\n", prog, flag,
-                   dir.c_str());
-      std::exit(2);
+bool parse_output_dir_flag(const char* arg, GridOptions& grid) {
+  for (const OutputDirFlag& f : kOutputDirFlags) {
+    const std::size_t n = std::strlen(f.flag);
+    if (std::strncmp(arg, f.flag, n) == 0 && arg[n] == '=') {
+      grid.*f.dir = arg + n + 1;
+      return true;
     }
   }
-  fs::remove(probe, ec);  // best-effort cleanup; a stale probe is harmless
+  return false;
+}
+
+void validate_output_dirs(const GridOptions& grid, const char* prog) {
+  namespace fs = std::filesystem;
+  for (const OutputDirFlag& f : kOutputDirFlags) {
+    const std::string& dir = grid.*f.dir;
+    if (dir.empty()) continue;
+    std::error_code ec;
+    fs::create_directories(dir, ec);
+    if (ec) {
+      std::fprintf(stderr, "%s: %s: cannot create directory '%s': %s\n", prog, f.flag,
+                   dir.c_str(), ec.message().c_str());
+      std::exit(2);
+    }
+    if (!fs::is_directory(dir, ec) || ec) {
+      std::fprintf(stderr, "%s: %s: '%s' is not a directory\n", prog, f.flag, dir.c_str());
+      std::exit(2);
+    }
+    const fs::path probe = fs::path(dir) / ".write-probe";
+    {
+      std::ofstream out(probe, std::ios::binary | std::ios::trunc);
+      out << "probe";
+      if (!out.good()) {
+        std::fprintf(stderr, "%s: %s: directory '%s' is not writable\n", prog, f.flag,
+                     dir.c_str());
+        std::exit(2);
+      }
+    }
+    fs::remove(probe, ec);  // best-effort cleanup; a stale probe is harmless
+  }
 }
 
 }  // namespace ones::exp

@@ -37,7 +37,7 @@ int default_threads();
 
 /// Parse bench flags; exits the process on --help (0) or bad usage (2).
 /// `--trace-dir`/`--metrics-dir`/`--prof-dir` are validated up front via
-/// `validate_output_dir`, so an unwritable path fails in milliseconds
+/// `validate_output_dirs`, so an unwritable path fails in milliseconds
 /// instead of after the first executed run.
 BenchOptions parse_bench_cli(int argc, char** argv);
 
@@ -50,9 +50,13 @@ BenchOptions parse_bench_cli(int argc, char** argv,
                              const std::function<bool(const char*)>& extra,
                              const char* extra_usage);
 
-/// Ensure `dir` exists (creating it if needed) and is writable by creating
-/// and removing a probe file. On failure prints "<prog>: <flag> ..." to
-/// stderr and exits(2). No-op for an empty `dir`.
-void validate_output_dir(const std::string& dir, const char* flag, const char* prog);
+/// If `arg` is `--trace-dir=P`, `--metrics-dir=P` or `--prof-dir=P`, store P
+/// in `grid` and return true. For tools with their own flags (quickstart).
+bool parse_output_dir_flag(const char* arg, GridOptions& grid);
+
+/// Ensure each of `grid`'s three instrument output dirs that is set exists
+/// (creating it if needed) and is writable, by creating and removing a probe
+/// file. On failure prints "<prog>: <flag>: ..." to stderr and exits(2).
+void validate_output_dirs(const GridOptions& grid, const char* prog);
 
 }  // namespace ones::exp

@@ -47,16 +47,57 @@ RunResult run_simulation(const sched::SimulationConfig& config,
   return r;
 }
 
-RunResult execute_run(const RunSpec& spec, trace::TraceSink* trace_sink,
-                      telemetry::MetricsRegistry* metrics, prof::Profiler* profiler) {
+RunInstruments::RunInstruments(const GridOptions& options, std::string stem)
+    : stem_(std::move(stem)),
+      metrics_dir_(options.metrics_dir),
+      prof_dir_(options.prof_dir),
+      rollup_(options.prof) {
+  if (!options.trace_dir.empty()) writer_.emplace(options.trace_dir, stem_);
+  if (!metrics_dir_.empty()) metrics_.emplace();
+  if (!prof_dir_.empty() || rollup_ != nullptr) {
+    profiler_.emplace();
+    if (writer_) profiler_->enable_timeline();  // feeds the Chrome merge
+  }
+}
+
+void RunInstruments::attach(sched::SimulationConfig& config) {
+  config.trace_sink = writer_ ? &*writer_ : nullptr;
+  config.metrics = metrics_ ? &*metrics_ : nullptr;
+  config.profiler = profiler();
+}
+
+void RunInstruments::export_outputs() {
+  if (metrics_) {
+    const prof::Scope span(profiler(), "export.metrics");
+    telemetry::write_metrics_files(*metrics_, metrics_dir_, stem_);
+  }
+  if (writer_) {
+    // Host spans merge into the Chrome trace only: the deterministic JSONL
+    // stream (the golden-digest format) never sees profiler output. This
+    // span is not in the timeline it merges.
+    const prof::Scope span(profiler(), "export.trace");
+    if (profiler_) {
+      for (const std::string& ev : prof::chrome_span_events(*profiler_)) {
+        writer_->chrome_raw_event(ev);
+      }
+    }
+    writer_->close();
+  }
+}
+
+void RunInstruments::export_profile() {
+  if (!profiler_) return;
+  if (!prof_dir_.empty()) prof::write_profile_file(prof_dir_, stem_, profiler_->stats());
+  if (rollup_ != nullptr) rollup_->add(*profiler_);
+}
+
+RunResult execute_run(const RunSpec& spec, RunInstruments* instruments) {
   ONES_EXPECT_MSG(static_cast<bool>(spec.factory), "RunSpec has no scheduler factory");
   const auto trace = workload::generate_trace(spec.trace);
   const auto scheduler = spec.factory();
   ONES_EXPECT_MSG(scheduler != nullptr, "scheduler factory returned null");
   sched::SimulationConfig config = spec.sim;
-  config.trace_sink = trace_sink;
-  config.metrics = metrics;
-  config.profiler = profiler;
+  if (instruments != nullptr) instruments->attach(config);
   return run_simulation(config, trace, *scheduler);
 }
 
@@ -88,13 +129,10 @@ std::vector<RunResult> run_grid(const std::vector<RunSpec>& specs,
   ProgressReporter progress(specs.size(), options.progress);
   std::vector<RunResult> results(specs.size());
 
-  // Host-time profiling (DESIGN.md §14) is on when either sink is attached;
-  // like tracing/metrics it never reaches the cache key or the results.
-  const bool profiling = !options.prof_dir.empty() || options.prof != nullptr;
   // Orchestrator-level spans (cache probes) collect on this serial-phase
-  // profiler; per-run spans collect on per-worker profilers below.
+  // profiler; per-run spans collect on each run's RunInstruments below.
   std::optional<prof::Profiler> grid_prof;
-  if (profiling) grid_prof.emplace();
+  if (!options.prof_dir.empty() || options.prof != nullptr) grid_prof.emplace();
 
   // Resolve cache hits up front (cheap I/O, serial) and queue the misses.
   std::vector<std::size_t> pending;
@@ -130,59 +168,22 @@ std::vector<RunResult> run_grid(const std::vector<RunSpec>& specs,
         try {
           // ones-lint: wall-clock-ok(per-run wall time feeds the stderr progress/ETA line only, never a result)
           const auto t0 = std::chrono::steady_clock::now();
-          std::optional<trace::RunTraceWriter> writer;
-          if (!options.trace_dir.empty()) {
-            writer.emplace(options.trace_dir, cache_key(specs[i]));
-          }
-          // One profiler per executed run: spans aggregate by path, never by
+          // Instruments per executed run: spans aggregate by path, never by
           // thread, so the merged rollup is independent of the thread count.
-          std::optional<prof::Profiler> profiler;
-          if (profiling) {
-            profiler.emplace();
-            if (writer) profiler->enable_timeline();  // feeds the Chrome merge
-          }
-          prof::Profiler* prof_ptr = profiler ? &*profiler : nullptr;
-          if (options.metrics_dir.empty()) {
-            results[i] = execute_run(specs[i], writer ? &*writer : nullptr, nullptr,
-                                     prof_ptr);
-          } else {
-            telemetry::MetricsRegistry registry;
-            results[i] =
-                execute_run(specs[i], writer ? &*writer : nullptr, &registry, prof_ptr);
-            const prof::Scope span(prof_ptr, "export.metrics");
-            telemetry::write_metrics_files(registry, options.metrics_dir,
-                                           cache_key(specs[i]));
-          }
-          if (writer) {
-            if (profiler) {
-              // Merge the host-span track into the Chrome trace only — the
-              // deterministic JSONL stream (the golden-digest format) never
-              // sees profiler output. The export.trace span itself lands in
-              // the .prof.json rollup, not in the already-snapshot timeline.
-              const prof::Scope span(&*profiler, "export.trace");
-              for (const std::string& ev : prof::chrome_span_events(*profiler)) {
-                writer->chrome_raw_event(ev);
-              }
-            }
-            writer->close();
-          }
+          RunInstruments instruments(options, cache_key(specs[i]));
+          results[i] = execute_run(specs[i], &instruments);
+          instruments.export_outputs();
           const double wall_s =
               // ones-lint: wall-clock-ok(cosmetic: progress/ETA reporting on stderr)
               std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
                   .count();
           {
-            const prof::Scope span(prof_ptr, "cache.write");
+            const prof::Scope span(instruments.profiler(), "cache.write");
             cache.store(specs[i], results[i]);
           }
-          if (profiler) {
-            if (!options.prof_dir.empty()) {
-              prof::write_profile_file(options.prof_dir, cache_key(specs[i]),
-                                       profiler->stats());
-            }
-            if (options.prof != nullptr) {
-              const std::lock_guard<std::mutex> lock(prof_mu);
-              options.prof->add(*profiler);
-            }
+          {
+            const std::lock_guard<std::mutex> lock(prof_mu);
+            instruments.export_profile();
           }
           progress.on_done(run_label(specs[i]), wall_s);
         } catch (...) {

@@ -14,6 +14,7 @@
 // `threads=1` for every N.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -34,30 +35,23 @@ struct GridOptions {
   std::string cache_dir = ".ones-cache";
   /// Progress / ETA lines on stderr.
   bool progress = true;
-  /// When non-empty, every EXECUTED run writes a structured trace pair
-  /// (`<cache_key>.jsonl` + `<cache_key>.trace.json`) into this directory.
-  /// Cache-served runs are not re-simulated, so they emit nothing. Tracing
-  /// never affects results, and is therefore not part of the cache key.
+  /// Instrument output directories, each off when empty. Every EXECUTED
+  /// run writes its files there through a RunInstruments named by its cache
+  /// key; cache-served runs emit nothing, and no instrument is a cache-key
+  /// input or changes a result (DESIGN.md §6). `trace_dir` gets
+  /// `.jsonl` + `.trace.json` (§8), `metrics_dir` `.timeline.csv` + `.prom`
+  /// + `.metrics.json` (§9), `prof_dir` `.prof.json` (§14); with both
+  /// `trace_dir` and profiling on, each run's span timeline also merges into
+  /// its `.trace.json` as a wall-clock track (the `.jsonl` stream is
+  /// untouched).
   std::string trace_dir;
-  /// When non-empty, every EXECUTED run owns a MetricsRegistry and exports
-  /// `<cache_key>.timeline.csv` + `.prom` + `.metrics.json` into this
-  /// directory (DESIGN.md §9). Exactly the tracing contract: cache-served
-  /// runs emit nothing, metrics never affect results, and the directory is
-  /// not part of the cache key.
   std::string metrics_dir;
+  std::string prof_dir;
   /// Optional bench-level registry (not owned). After the grid completes,
   /// run_grid records the orchestrator cache statistics into it:
   /// `exp_cache_{hits,misses,demotions,stores}_total` and
   /// `exp_runs_executed_total`.
   telemetry::MetricsRegistry* registry = nullptr;
-  /// When non-empty, every EXECUTED run owns a host-time prof::Profiler and
-  /// exports `<cache_key>.prof.json` into this directory (DESIGN.md §14).
-  /// Same contract as trace_dir/metrics_dir: cache-served runs emit nothing,
-  /// profiling never affects results, and the directory is NOT a cache-key
-  /// input. When trace_dir is also set, each run's span timeline is merged
-  /// into its `.trace.json` as a separate wall-clock process track (the
-  /// deterministic `.jsonl` stream is untouched).
-  std::string prof_dir;
   /// Optional grid-level rollup (not owned). When non-null, profiling is on
   /// even without prof_dir and every run's spans (plus the orchestrator's
   /// own `cache.read`/`cache.write` spans) are aggregated into it by span
@@ -65,16 +59,49 @@ struct GridOptions {
   prof::ProfileRollup* prof = nullptr;
 };
 
+/// One run's optional instruments (DESIGN.md §6): the trace writer, metrics
+/// registry and host-time profiler that `GridOptions`' output directories
+/// and rollup ask for, opened, attached and exported the same way by every
+/// caller. Each file is named `<stem>.<ext>`.
+class RunInstruments {
+ public:
+  /// A trace writer when `trace_dir` is set, a registry when `metrics_dir`
+  /// is, and a profiler when `prof_dir` or the `prof` rollup is (keeping a
+  /// timeline for the Chrome merge when tracing too).
+  RunInstruments(const GridOptions& options, std::string stem);
+
+  /// Point `config`'s trace sink, metrics registry and profiler at this
+  /// run's instruments; the ones that are off stay null.
+  void attach(sched::SimulationConfig& config);
+
+  /// After the run: the metrics files under an `export.metrics` span, then
+  /// the host-span merge into the Chrome trace and the writer's close under
+  /// `export.trace`.
+  void export_outputs();
+
+  /// `<stem>.prof.json` and the merge into the rollup. Callers that share
+  /// one rollup across threads serialize this call.
+  void export_profile();
+
+  /// Null when profiling is off.
+  prof::Profiler* profiler() { return profiler_ ? &*profiler_ : nullptr; }
+
+ private:
+  std::string stem_;
+  std::string metrics_dir_;
+  std::string prof_dir_;
+  prof::ProfileRollup* rollup_;
+  std::optional<trace::RunTraceWriter> writer_;
+  std::optional<telemetry::MetricsRegistry> metrics_;
+  std::optional<prof::Profiler> profiler_;
+};
+
 /// Execute one simulation: build the scheduler from the spec's factory,
 /// generate the trace, run, and collect metrics. (Also the body of each
 /// orchestrator worker; exposed for benches that run a single config.)
-/// `trace_sink`, when non-null, receives the run's structured trace;
-/// `metrics`, when non-null, receives the run's instrument emissions;
-/// `profiler`, when non-null, collects the run's host-time spans. None of
-/// the three may change results (asserted in tests/exp_test.cpp).
-RunResult execute_run(const RunSpec& spec, trace::TraceSink* trace_sink = nullptr,
-                      telemetry::MetricsRegistry* metrics = nullptr,
-                      prof::Profiler* profiler = nullptr);
+/// `instruments`, when non-null, attach to the run; they never change its
+/// results (asserted in tests/exp_test.cpp).
+RunResult execute_run(const RunSpec& spec, RunInstruments* instruments = nullptr);
 
 /// Collect metrics from an already-constructed simulation setup (the legacy
 /// single-run path used by light benches and examples).

@@ -46,7 +46,6 @@ class MetricsCollector {
   void on_busy_gpus(int busy, double now);
 
   const JobMetrics& job(JobId job) const;
-  bool has_job(JobId job) const { return jobs_.count(job) > 0; }
   /// All submitted job ids, ascending.
   std::vector<JobId> job_ids() const;
   std::size_t submitted() const { return jobs_.size(); }

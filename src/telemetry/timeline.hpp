@@ -42,7 +42,6 @@ class TimelineSampler {
   /// Enable uniform re-sampling every `period_s` > 0 of sim-time (0 — the
   /// default — disables ticks). Must be set before the first record.
   void set_tick_period(double period_s);
-  double tick_period() const { return tick_period_; }
 
   struct Point {
     double t = 0.0;
@@ -53,7 +52,6 @@ class TimelineSampler {
   /// All points in emission order (t is non-decreasing).
   const std::vector<Point>& points() const { return points_; }
   const std::string& name(SeriesId id) const;
-  std::size_t num_series() const { return names_.size(); }
 
  private:
   void flush_ticks(double t);

@@ -145,9 +145,6 @@ class RunTraceWriter final : public TraceSink {
   /// never sees it, so merged host-profiler tracks cannot move the digest.
   void chrome_raw_event(const std::string& event_json);
 
-  const std::string& jsonl_path() const { return jsonl_path_; }
-  const std::string& chrome_path() const { return chrome_path_; }
-
  private:
   std::string jsonl_path_;
   std::string chrome_path_;

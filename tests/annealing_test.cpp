@@ -4,9 +4,11 @@
 #include <sstream>
 
 #include "core/annealing.hpp"
+#include "prof/profiler.hpp"
 #include "sched/fifo.hpp"
 #include "sched/simulation.hpp"
 #include "telemetry/metrics.hpp"
+#include "telemetry/registry.hpp"
 #include "workload/trace.hpp"
 #include "workload/trace_io.hpp"
 
@@ -53,6 +55,29 @@ TEST(Annealing, TemperatureCoolsMonotonically) {
   EXPECT_LT(s.temperature(), t0);
   core::AnnealingConfig cfg;
   EXPECT_GE(s.temperature(), cfg.min_temperature);
+}
+
+// ONES-SA shares ONES's policy front-end, so an attached registry and
+// profiler must reach its progress predictor as they reach ONES's.
+TEST(Annealing, ForwardsInstrumentsToItsPredictor) {
+  const auto trace = workload::generate_trace(trace_config(12, 15));
+  core::OnesScheduler ones_sched;
+  core::AnnealingScheduler annealing;
+  for (sched::Scheduler* s : std::initializer_list<sched::Scheduler*>{&ones_sched, &annealing}) {
+    telemetry::MetricsRegistry registry;
+    prof::Profiler profiler;
+    sched::SimulationConfig config = small_config();
+    config.metrics = &registry;
+    config.profiler = &profiler;
+    sched::ClusterSimulation sim(config, trace, *s);
+    sim.run();
+    EXPECT_GT(registry.counter_value("predict_error_samples_total"), 0.0) << s->name();
+    std::uint64_t fits = 0;
+    for (const auto& span : profiler.stats()) {
+      if (span.path.ends_with("predict.fit")) fits += span.count;
+    }
+    EXPECT_GT(fits, 0u) << s->name();
+  }
 }
 
 TEST(Annealing, RespectsBatchLimitsViaSharedMachinery) {

@@ -3,6 +3,7 @@
 // sensitivity and grid preconditions.
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 
@@ -11,6 +12,7 @@
 #include "exp/cache.hpp"
 #include "exp/cli.hpp"
 #include "common/json.hpp"
+#include "core/annealing.hpp"
 #include "core/ones_scheduler.hpp"
 #include "exp/orchestrator.hpp"
 #include "sched/fifo.hpp"
@@ -95,7 +97,7 @@ void expect_identical(const RunResult& a, const RunResult& b) {
 
 class TempCacheDir {
  public:
-  explicit TempCacheDir(const char* name)
+  explicit TempCacheDir(const std::string& name)
       : path_((fs::temp_directory_path() / name).string()) {
     fs::remove_all(path_);
   }
@@ -329,11 +331,12 @@ TEST(ExpJson, RejectsMalformedAndWrongSchema) {
 TEST(ExpCli, DefaultThreadsIsPositive) { EXPECT_GE(default_threads(), 1); }
 
 TEST(ExpCliDeathTest, UnwritableOutputDirFailsFast) {
-  // validate_output_dir guards every output-dir flag (--trace-dir,
+  // validate_output_dirs guards every output-dir flag (--trace-dir,
   // --metrics-dir, --prof-dir): a path that cannot be a writable directory
   // must abort the bench before any run executes.
-  EXPECT_EXIT(validate_output_dir("/proc/not-a-writable-dir", "--prof-dir", "test"),
-              testing::ExitedWithCode(2), "--prof-dir");
+  GridOptions grid;
+  grid.prof_dir = "/proc/not-a-writable-dir";
+  EXPECT_EXIT(validate_output_dirs(grid, "test"), testing::ExitedWithCode(2), "--prof-dir");
 }
 
 std::string read_file(const fs::path& path) {
@@ -344,207 +347,135 @@ std::string read_file(const fs::path& path) {
   return buf.str();
 }
 
-TEST(ExpTracing, TraceBytesIdenticalForAnyThreadCount) {
-  const auto specs = tiny_grid();
-  TempCacheDir dir_serial("ones_exp_trace_serial");
-  TempCacheDir dir_parallel("ones_exp_trace_parallel");
+// The trace writer, metrics registry and profiler share one contract
+// (DESIGN.md §6): each may observe an executed run, never steer it; its
+// files are byte-identical for any thread count (for the profiler: its span
+// paths and counts); and a cache-served run emits nothing. Each contract
+// below is written once, over a set of instruments, and checked for each
+// instrument alone and for all three at once.
+struct InstrumentSet {
+  const char* name;
+  bool trace;
+  bool metrics;
+  bool prof;
+};
+constexpr InstrumentSet kTrace{"trace", true, false, false};
+constexpr InstrumentSet kMetrics{"metrics", false, true, false};
+constexpr InstrumentSet kProf{"prof", false, false, true};
+constexpr InstrumentSet kAllInstruments{"all", true, true, true};
 
-  auto serial_opt = quiet_options(1);
-  serial_opt.trace_dir = dir_serial.path();
-  auto parallel_opt = quiet_options(4);
-  parallel_opt.trace_dir = dir_parallel.path();
+/// `opt` with every instrument of `set` writing into `dir`.
+GridOptions instrumented(GridOptions opt, const InstrumentSet& set, const std::string& dir) {
+  if (set.trace) opt.trace_dir = dir;
+  if (set.metrics) opt.metrics_dir = dir;
+  if (set.prof) opt.prof_dir = dir;
+  return opt;
+}
+
+/// The files each executed run writes under `set`.
+std::vector<std::string> extensions(const InstrumentSet& set) {
+  std::vector<std::string> exts;
+  if (set.trace) exts.insert(exts.end(), {".jsonl", ".trace.json"});
+  if (set.metrics) exts.insert(exts.end(), {".timeline.csv", ".prom", ".metrics.json"});
+  if (set.prof) exts.emplace_back(".prof.json");
+  return exts;
+}
+
+/// `dir` holds exactly one file per (spec, extension): none missing, no
+/// stray temp file.
+void expect_exactly_outputs(const std::string& dir, const std::vector<RunSpec>& specs,
+                            const InstrumentSet& set) {
+  std::set<std::string> expected, found;
+  for (const auto& spec : specs) {
+    for (const auto& ext : extensions(set)) expected.insert(cache_key(spec) + ext);
+  }
+  for (const auto& e : fs::directory_iterator(dir)) found.insert(e.path().filename().string());
+  EXPECT_EQ(found, expected);
+}
+
+/// (path, count) of every span in a `.prof.json`.
+std::vector<std::pair<std::string, double>> span_counts(const std::string& prof_json) {
+  const JsonValue doc = parse_json(prof_json);
+  const JsonValue* spans = doc.find("spans");
+  EXPECT_NE(spans, nullptr);
+  std::vector<std::pair<std::string, double>> out;
+  if (spans == nullptr) return out;
+  for (const JsonValue& span : spans->array) {
+    out.emplace_back(span.find("path")->string, span.find("count")->number);
+  }
+  return out;
+}
+
+/// FIFO and Tiresias on two seeds, plus ONES and ONES-SA: the two searches
+/// are where metrics and the profiler reach inside a policy, and ONES
+/// resizes jobs elastically, which is where a trace sink adds engine events
+/// of its own (elastic_resumed) that events_fired must not count.
+std::vector<RunSpec> instrumented_grid() {
+  auto specs = tiny_grid();
+  RunSpec ones = tiny_spec();
+  ones.scheduler = "ONES";
+  ones.factory = [] { return std::make_unique<core::OnesScheduler>(); };
+  specs.push_back(std::move(ones));
+  RunSpec annealing = tiny_spec();
+  annealing.scheduler = "ONES-SA";
+  annealing.factory = [] { return std::make_unique<core::AnnealingScheduler>(); };
+  specs.push_back(std::move(annealing));
+  return specs;
+}
+
+void expect_results_unchanged(const InstrumentSet& set) {
+  TempCacheDir dir(std::string("ones_exp_results_") + set.name);
+  const auto specs = instrumented_grid();
+  const auto plain = run_grid(specs, quiet_options(2));
+  const auto observed = run_grid(specs, instrumented(quiet_options(2), set, dir.path()));
+  ASSERT_EQ(plain.size(), observed.size());
+  for (std::size_t i = 0; i < plain.size(); ++i) expect_identical(plain[i], observed[i]);
+  expect_exactly_outputs(dir.path(), specs, set);
+}
+
+void expect_identical_for_any_thread_count(const InstrumentSet& set) {
+  const auto specs = instrumented_grid();
+  TempCacheDir serial_dir(std::string("ones_exp_serial_") + set.name);
+  TempCacheDir parallel_dir(std::string("ones_exp_parallel_") + set.name);
+  prof::ProfileRollup serial_rollup, parallel_rollup;
+  auto serial_opt = instrumented(quiet_options(1), set, serial_dir.path());
+  auto parallel_opt = instrumented(quiet_options(4), set, parallel_dir.path());
+  if (set.prof) {
+    serial_opt.prof = &serial_rollup;
+    parallel_opt.prof = &parallel_rollup;
+  }
   run_grid(specs, serial_opt);
   run_grid(specs, parallel_opt);
 
   const trace::TraceReplayer replayer;
   for (const auto& spec : specs) {
-    const std::string stem = cache_key(spec);
-    const std::string serial_bytes =
-        read_file(fs::path(dir_serial.path()) / (stem + ".jsonl"));
-    const std::string parallel_bytes =
-        read_file(fs::path(dir_parallel.path()) / (stem + ".jsonl"));
-    ASSERT_FALSE(serial_bytes.empty()) << stem;
-    EXPECT_EQ(serial_bytes, parallel_bytes) << stem;
-    EXPECT_EQ(read_file(fs::path(dir_serial.path()) / (stem + ".trace.json")),
-              read_file(fs::path(dir_parallel.path()) / (stem + ".trace.json")))
-        << stem;
-    // Every emitted trace is structurally legal.
-    const auto report = replayer.check_jsonl(serial_bytes);
-    EXPECT_TRUE(report.ok()) << stem << ":\n" << report.to_string();
-  }
-  // No stray files: one .jsonl + one .trace.json per spec, no leftover tmps.
-  std::size_t files = 0;
-  for (const auto& e : fs::directory_iterator(dir_serial.path())) {
-    ++files;
-    EXPECT_TRUE(e.path().extension() == ".jsonl" ||
-                e.path().extension() == ".json")
-        << e.path();
-  }
-  EXPECT_EQ(files, 2 * specs.size());
-}
-
-TEST(ExpTracing, CacheServedRunsEmitNoTrace) {
-  TempCacheDir cache_dir("ones_exp_trace_cache");
-  TempCacheDir trace_dir("ones_exp_trace_cached_out");
-  const std::vector<RunSpec> specs = {tiny_spec()};
-
-  // Cold pass populates the cache (no tracing requested).
-  run_grid(specs, quiet_options(1, true, cache_dir.path()));
-
-  // Warm pass asks for traces, but every run is cache-served: a trace of a
-  // run that never re-executed would be a lie, so nothing may be written.
-  auto opt = quiet_options(1, true, cache_dir.path());
-  opt.trace_dir = trace_dir.path();
-  const auto warm = run_grid(specs, opt);
-  ASSERT_TRUE(warm[0].from_cache);
-  EXPECT_TRUE(!fs::exists(trace_dir.path()) || fs::is_empty(trace_dir.path()));
-
-  // Bypassing the cache re-executes and traces again.
-  auto no_cache = quiet_options(1, false, cache_dir.path());
-  no_cache.trace_dir = trace_dir.path();
-  run_grid(specs, no_cache);
-  EXPECT_TRUE(
-      fs::exists(fs::path(trace_dir.path()) / (cache_key(specs[0]) + ".jsonl")));
-}
-
-TEST(ExpTracing, TracingDoesNotChangeResults) {
-  TempCacheDir trace_dir("ones_exp_trace_results");
-  auto specs = tiny_grid();
-  // ONES resizes jobs elastically, which is where a trace sink adds engine
-  // events of its own (elastic_resumed); events_fired must not count them.
-  RunSpec ones = tiny_spec();
-  ones.scheduler = "ONES";
-  ones.factory = [] { return std::make_unique<core::OnesScheduler>(); };
-  specs.push_back(std::move(ones));
-  const auto plain = run_grid(specs, quiet_options(2));
-  auto opt = quiet_options(2);
-  opt.trace_dir = trace_dir.path();
-  const auto traced = run_grid(specs, opt);
-  ASSERT_EQ(plain.size(), traced.size());
-  for (std::size_t i = 0; i < plain.size(); ++i) {
-    expect_identical(plain[i], traced[i]);
-  }
-}
-
-// The metrics registry follows the tracing contract (DESIGN.md §9): it may
-// observe a run, never steer it. The next three tests mirror the ExpTracing
-// suite above, instrument for instrument.
-TEST(ExpMetrics, MetricsDoNotChangeResults) {
-  TempCacheDir metrics_dir("ones_exp_metrics_results");
-  const auto specs = tiny_grid();
-  const auto plain = run_grid(specs, quiet_options(2));
-  auto opt = quiet_options(2);
-  opt.metrics_dir = metrics_dir.path();
-  const auto instrumented = run_grid(specs, opt);
-  ASSERT_EQ(plain.size(), instrumented.size());
-  for (std::size_t i = 0; i < plain.size(); ++i) {
-    expect_identical(plain[i], instrumented[i]);
-  }
-  // Each executed run exported its three files.
-  for (const auto& spec : specs) {
-    const fs::path base = fs::path(metrics_dir.path()) / cache_key(spec);
-    EXPECT_TRUE(fs::exists(base.string() + ".timeline.csv")) << base;
-    EXPECT_TRUE(fs::exists(base.string() + ".prom")) << base;
-    EXPECT_TRUE(fs::exists(base.string() + ".metrics.json")) << base;
-  }
-}
-
-TEST(ExpMetrics, MetricsBytesIdenticalForAnyThreadCount) {
-  const auto specs = tiny_grid();
-  TempCacheDir dir_serial("ones_exp_metrics_serial");
-  TempCacheDir dir_parallel("ones_exp_metrics_parallel");
-
-  auto serial_opt = quiet_options(1);
-  serial_opt.metrics_dir = dir_serial.path();
-  auto parallel_opt = quiet_options(4);
-  parallel_opt.metrics_dir = dir_parallel.path();
-  run_grid(specs, serial_opt);
-  run_grid(specs, parallel_opt);
-
-  for (const auto& spec : specs) {
-    const std::string stem = cache_key(spec);
-    for (const char* ext : {".timeline.csv", ".prom", ".metrics.json"}) {
-      const std::string serial_bytes =
-          read_file(fs::path(dir_serial.path()) / (stem + ext));
-      ASSERT_FALSE(serial_bytes.empty()) << stem << ext;
-      EXPECT_EQ(serial_bytes, read_file(fs::path(dir_parallel.path()) / (stem + ext)))
-          << stem << ext;
+    for (const auto& ext : extensions(set)) {
+      const std::string where = cache_key(spec) + ext;
+      const std::string serial = read_file(fs::path(serial_dir.path()) / where);
+      const std::string parallel = read_file(fs::path(parallel_dir.path()) / where);
+      ASSERT_FALSE(serial.empty()) << where;
+      if (ext == ".prof.json") {
+        // Span paths and counts are deterministic; nanoseconds are host noise.
+        const auto spans = span_counts(serial);
+        EXPECT_FALSE(spans.empty()) << where;
+        EXPECT_EQ(spans, span_counts(parallel)) << where;
+      } else if (ext != ".trace.json" || !set.prof) {
+        // A merged host-span track makes the Chrome trace wall-clock.
+        EXPECT_EQ(serial, parallel) << where;
+      }
+      if (ext == ".jsonl") {
+        const auto report = replayer.check_jsonl(serial);
+        EXPECT_TRUE(report.ok()) << where << ":\n" << report.to_string();
+      }
     }
   }
-  // No stray files: three exports per spec, no leftover tmps.
-  std::size_t files = 0;
-  for (const auto& e : fs::directory_iterator(dir_serial.path())) {
-    ++files;
-    EXPECT_TRUE(e.path().extension() == ".csv" || e.path().extension() == ".prom" ||
-                e.path().extension() == ".json")
-        << e.path();
-  }
-  EXPECT_EQ(files, 3 * specs.size());
-}
+  expect_exactly_outputs(serial_dir.path(), specs, set);
+  expect_exactly_outputs(parallel_dir.path(), specs, set);
 
-TEST(ExpMetrics, CacheServedRunsEmitNoMetrics) {
-  TempCacheDir cache_dir("ones_exp_metrics_cache");
-  TempCacheDir metrics_dir("ones_exp_metrics_cached_out");
-  const std::vector<RunSpec> specs = {tiny_spec()};
-
-  run_grid(specs, quiet_options(1, true, cache_dir.path()));
-
-  // Warm pass: every run is cache-served, so no registry ever exists and no
-  // file may appear (metrics of a run that never re-executed would be a lie).
-  auto opt = quiet_options(1, true, cache_dir.path());
-  opt.metrics_dir = metrics_dir.path();
-  const auto warm = run_grid(specs, opt);
-  ASSERT_TRUE(warm[0].from_cache);
-  EXPECT_TRUE(!fs::exists(metrics_dir.path()) || fs::is_empty(metrics_dir.path()));
-
-  auto no_cache = quiet_options(1, false, cache_dir.path());
-  no_cache.metrics_dir = metrics_dir.path();
-  run_grid(specs, no_cache);
-  EXPECT_TRUE(fs::exists(fs::path(metrics_dir.path()) /
-                         (cache_key(specs[0]) + ".metrics.json")));
-}
-
-// The host-time profiler is the third instrument under the same contract
-// (DESIGN.md §14): attaching it may observe a run, never steer it.
-TEST(ExpProfiling, ProfilingDoesNotChangeResults) {
-  TempCacheDir prof_dir("ones_exp_prof_results");
-  const auto specs = tiny_grid();
-  const auto plain = run_grid(specs, quiet_options(2));
-  auto opt = quiet_options(2);
-  opt.prof_dir = prof_dir.path();
-  const auto profiled = run_grid(specs, opt);
-  ASSERT_EQ(plain.size(), profiled.size());
-  for (std::size_t i = 0; i < plain.size(); ++i) {
-    expect_identical(plain[i], profiled[i]);
-  }
-  // Each executed run exported its span profile, and it parses.
-  for (const auto& spec : specs) {
-    const fs::path path =
-        fs::path(prof_dir.path()) / (cache_key(spec) + ".prof.json");
-    ASSERT_TRUE(fs::exists(path)) << path;
-    const JsonValue doc = parse_json(read_file(path));
-    const JsonValue* spans = doc.find("spans");
-    ASSERT_NE(spans, nullptr) << path;
-    EXPECT_FALSE(spans->array.empty()) << path;
-  }
-}
-
-TEST(ExpProfiling, SpanPathsAndCountsIdenticalForAnyThreadCount) {
-  const auto specs = tiny_grid();
-  prof::ProfileRollup serial_rollup, parallel_rollup;
-  auto serial_opt = quiet_options(1);
-  serial_opt.prof = &serial_rollup;
-  auto parallel_opt = quiet_options(4);
-  parallel_opt.prof = &parallel_rollup;
-  run_grid(specs, serial_opt);
-  run_grid(specs, parallel_opt);
-
-  // Path-keyed aggregation makes the merge order-independent: the span set
-  // and every count are bit-identical across thread counts; only the
-  // nanosecond magnitudes are host noise.
+  // Path-keyed aggregation makes the rollup merge order-independent.
   const auto serial = serial_rollup.stats();
   const auto parallel = parallel_rollup.stats();
-  ASSERT_FALSE(serial.empty());
+  EXPECT_EQ(serial.empty(), !set.prof);
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(serial[i].path, parallel[i].path);
@@ -552,26 +483,55 @@ TEST(ExpProfiling, SpanPathsAndCountsIdenticalForAnyThreadCount) {
   }
 }
 
-TEST(ExpProfiling, CacheServedRunsEmitNoProfiles) {
-  TempCacheDir cache_dir("ones_exp_prof_cache");
-  TempCacheDir prof_dir("ones_exp_prof_cached_out");
+void expect_cache_served_runs_emit_nothing(const InstrumentSet& set) {
+  TempCacheDir cache_dir(std::string("ones_exp_cache_") + set.name);
+  TempCacheDir out_dir(std::string("ones_exp_cached_out_") + set.name);
   const std::vector<RunSpec> specs = {tiny_spec()};
 
+  // Cold pass populates the cache, uninstrumented.
   run_grid(specs, quiet_options(1, true, cache_dir.path()));
 
-  // Warm pass: every run is cache-served; a profile of a run that never
-  // re-executed would be a lie, so nothing may appear.
-  auto opt = quiet_options(1, true, cache_dir.path());
-  opt.prof_dir = prof_dir.path();
-  const auto warm = run_grid(specs, opt);
+  // Warm pass asks for instruments, but every run is cache-served: files of
+  // a run that never re-executed would be a lie, so nothing may appear.
+  const auto warm =
+      run_grid(specs, instrumented(quiet_options(1, true, cache_dir.path()), set, out_dir.path()));
   ASSERT_TRUE(warm[0].from_cache);
-  EXPECT_TRUE(!fs::exists(prof_dir.path()) || fs::is_empty(prof_dir.path()));
+  EXPECT_TRUE(!fs::exists(out_dir.path()) || fs::is_empty(out_dir.path()));
 
-  auto no_cache = quiet_options(1, false, cache_dir.path());
-  no_cache.prof_dir = prof_dir.path();
-  run_grid(specs, no_cache);
-  EXPECT_TRUE(fs::exists(fs::path(prof_dir.path()) /
-                         (cache_key(specs[0]) + ".prof.json")));
+  // Bypassing the cache re-executes and instruments again.
+  run_grid(specs, instrumented(quiet_options(1, false, cache_dir.path()), set, out_dir.path()));
+  expect_exactly_outputs(out_dir.path(), specs, set);
+}
+
+TEST(ExpTracing, TracingDoesNotChangeResults) { expect_results_unchanged(kTrace); }
+TEST(ExpMetrics, MetricsDoNotChangeResults) { expect_results_unchanged(kMetrics); }
+TEST(ExpProfiling, ProfilingDoesNotChangeResults) { expect_results_unchanged(kProf); }
+TEST(ExpInstruments, AllThreeDoNotChangeResults) {
+  expect_results_unchanged(kAllInstruments);
+}
+
+TEST(ExpTracing, TraceBytesIdenticalForAnyThreadCount) {
+  expect_identical_for_any_thread_count(kTrace);
+}
+TEST(ExpMetrics, MetricsBytesIdenticalForAnyThreadCount) {
+  expect_identical_for_any_thread_count(kMetrics);
+}
+TEST(ExpProfiling, SpanPathsAndCountsIdenticalForAnyThreadCount) {
+  expect_identical_for_any_thread_count(kProf);
+}
+TEST(ExpInstruments, AllThreeIdenticalForAnyThreadCount) {
+  expect_identical_for_any_thread_count(kAllInstruments);
+}
+
+TEST(ExpTracing, CacheServedRunsEmitNoTrace) { expect_cache_served_runs_emit_nothing(kTrace); }
+TEST(ExpMetrics, CacheServedRunsEmitNoMetrics) {
+  expect_cache_served_runs_emit_nothing(kMetrics);
+}
+TEST(ExpProfiling, CacheServedRunsEmitNoProfiles) {
+  expect_cache_served_runs_emit_nothing(kProf);
+}
+TEST(ExpInstruments, CacheServedRunsEmitNothingWithAllThree) {
+  expect_cache_served_runs_emit_nothing(kAllInstruments);
 }
 
 TEST(ExpMetrics, GridPublishesCacheStatsIntoRegistry) {
