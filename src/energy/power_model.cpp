@@ -1,6 +1,7 @@
 #include "energy/power_model.hpp"
 
 #include <algorithm>
+#include <vector>
 
 #include "common/expect.hpp"
 #include "model/throughput.hpp"
@@ -64,6 +65,30 @@ double PowerModel::job_watts_even(const model::TaskProfile& profile,
                                   int global_batch, int workers,
                                   const cluster::LinkProfile& link) const {
   return job_watts(profile, model::even_split(global_batch, workers), link);
+}
+
+ClusterDraw cluster_draw(const PowerModel& model, const cluster::Topology& topology,
+                         const cluster::Assignment& assignment,
+                         const ProfileLookup& profile_of) {
+  ClusterDraw draw;
+  // A node is powered whether or not any of its GPUs host a worker.
+  draw.overhead_w = model.node_base_watts() * static_cast<double>(topology.num_nodes());
+  for (int i = 0; i < assignment.idle_count(); ++i) draw.overhead_w += model.idle_gpu_watts();
+  draw.cluster_w = draw.overhead_w;
+
+  const auto running = assignment.running_jobs();
+  std::vector<JobId> jobs(running.begin(), running.end());
+  std::sort(jobs.begin(), jobs.end());
+  std::vector<int> batches;
+  for (const JobId job : jobs) {
+    const model::TaskProfile* profile = profile_of(job);
+    ONES_EXPECT_MSG(profile != nullptr, "no task profile for a placed job");
+    const auto gpus = assignment.gpus_of(job);
+    batches.clear();
+    for (const GpuId g : gpus) batches.push_back(assignment.slot(g).local_batch);
+    draw.cluster_w += model.job_watts(*profile, batches, topology.link_profile(gpus));
+  }
+  return draw;
 }
 
 }  // namespace ones::energy

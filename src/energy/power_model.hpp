@@ -17,16 +17,21 @@
 // well above idle while it waits on the ring all-reduce. Unoccupied GPUs draw
 // gpu_idle_w; every node additionally draws node_base_w (CPUs, fans, PSU
 // losses) regardless of load. All outputs are watts (J/s); integrating them
-// over sim-time (energy::EnergyMeter) yields joules.
+// over sim-time (energy::EnergyMeter) yields joules. `cluster_draw` sums the
+// whole schedule — the one function both the meter and PowerCap's admission
+// test price a schedule with.
 //
 // Determinism: no state, no RNG, no wall-clock — identical inputs give
 // bit-identical watts on every platform the throughput model does.
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <span>
 
+#include "cluster/assignment.hpp"
 #include "cluster/topology.hpp"
+#include "common/ids.hpp"
 #include "model/task.hpp"
 
 namespace ones::energy {
@@ -70,5 +75,23 @@ class PowerModel {
  private:
   PowerConfig config_;
 };
+
+/// Resolves a placed job to its task profile.
+using ProfileLookup = std::function<const model::TaskProfile*(JobId)>;
+
+/// Draw of a whole schedule, in watts.
+struct ClusterDraw {
+  double cluster_w = 0.0;
+  /// The share no job is charged with: node base power plus idle GPUs.
+  double overhead_w = 0.0;
+};
+
+/// Prices `assignment` under `model`. The sum runs in a fixed order — node
+/// base, then one gpu_idle_w per idle GPU, then each running job's job_watts
+/// in ascending JobId order — so the result does not depend on where the
+/// jobs sit in the slot array. `profile_of` must cover every running job.
+ClusterDraw cluster_draw(const PowerModel& model, const cluster::Topology& topology,
+                         const cluster::Assignment& assignment,
+                         const ProfileLookup& profile_of);
 
 }  // namespace ones::energy

@@ -1,39 +1,10 @@
 #include "sched/powercap.hpp"
 
-#include <vector>
-
 #include "common/expect.hpp"
 #include "energy/power_model.hpp"
 #include "sched/placement.hpp"
 
 namespace ones::sched {
-
-namespace {
-
-/// Draw of `assignment` under the driver's power model: per-node base +
-/// idle-GPU draw + every running job's worker draw (the same decomposition
-/// energy::EnergyMeter bills with).
-double assignment_watts(const cluster::Assignment& assignment,
-                        const ClusterState& state) {
-  const energy::PowerConfig& cfg = state.power->config();
-  double watts =
-      static_cast<double>(state.topology->num_nodes()) * cfg.node_base_w +
-      static_cast<double>(assignment.idle_count()) * cfg.gpu_idle_w;
-  for (JobId id : assignment.running_jobs()) {
-    const JobView* job = state.job(id);
-    ONES_EXPECT_MSG(job != nullptr && job->profile != nullptr,
-                    "assignment references an unknown job");
-    const auto gpus = assignment.gpus_of(id);
-    std::vector<int> batches;
-    batches.reserve(gpus.size());
-    for (GpuId g : gpus) batches.push_back(assignment.slot(g).local_batch);
-    watts += state.power->job_watts(*job->profile, batches,
-                                    state.topology->link_profile(gpus));
-  }
-  return watts;
-}
-
-}  // namespace
 
 PowerCapScheduler::PowerCapScheduler(const PowerCapConfig& config) : config_(config) {
   ONES_EXPECT_MSG(config_.cap_fraction > 0.0 && config_.cap_fraction <= 1.0,
@@ -56,7 +27,11 @@ std::optional<cluster::Assignment> PowerCapScheduler::on_event(
   ONES_EXPECT_MSG(state.power != nullptr, "PowerCap requires the driver power model");
 
   cluster::Assignment next = *state.current;
-  double watts = assignment_watts(next, state);
+  double watts =
+      energy::cluster_draw(*state.power, *state.topology, next, [&state](JobId id) {
+        const JobView* job = state.job(id);
+        return job == nullptr ? nullptr : job->profile;
+      }).cluster_w;
   const double cap = cap_watts(state);
   bool any_running = !next.running_jobs().empty();
   bool changed = false;

@@ -5,12 +5,12 @@
 //
 // FIFO-with-backfill admission under a cluster-wide watts budget: before
 // starting a waiting job, project the cluster draw with the job placed
-// (using the driver's PowerModel, DESIGN.md §10) and admit only while the
-// projection stays at or under the cap. Jobs keep their user-requested GPU
-// count and batch; like the other non-elastic baselines there is no
-// preemption, so the cap binds at admission time only. To guarantee
-// progress, the first job onto an otherwise-empty cluster is always
-// admitted even if it alone exceeds the cap.
+// (from energy::cluster_draw of the current schedule, the function the meter
+// bills with, DESIGN.md §10) and admit only while the projection stays at or
+// under the cap. Jobs keep their user-requested GPU count and batch; like the
+// other non-elastic baselines there is no preemption, so the cap binds at
+// admission time only. To guarantee progress, the first job onto an
+// otherwise-empty cluster is always admitted even if it alone exceeds the cap.
 #pragma once
 
 #include "sched/scheduler.hpp"

@@ -251,7 +251,6 @@ void ClusterSimulation::run() {
   energy_.finalize(energy_end);
   if (registry_ != nullptr) {
     sample_cluster_metrics();
-    registry_->timeline().advance(engine_.now());
     registry_->gauge("sim_events_fired").set(static_cast<double>(events_fired()));
   }
   if (!all_completed()) {

@@ -17,11 +17,9 @@ void MetricsCollector::on_submit(JobId job, double now) {
 }
 
 void MetricsCollector::on_run_start(JobId job, double now) {
-  auto it = jobs_.find(job);
-  ONES_EXPECT_MSG(it != jobs_.end(), "run_start for unknown job");
+  ONES_EXPECT_MSG(jobs_.count(job), "run_start for unknown job");
   ONES_EXPECT_MSG(!run_start_.count(job), "job already running");
   run_start_.emplace(job, now);
-  if (it->second.first_start_s < 0.0) it->second.first_start_s = now;
 }
 
 void MetricsCollector::on_run_end(JobId job, double now, bool preempted) {

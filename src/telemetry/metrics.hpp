@@ -19,7 +19,6 @@ struct JobMetrics {
   JobId id = kInvalidJob;
   double arrival_s = 0.0;
   double completion_s = -1.0;  ///< -1 while unfinished
-  double first_start_s = -1.0; ///< -1 until first scheduled
   double exec_time_s = 0.0;    ///< accumulated running time
   int preemptions = 0;         ///< times the job lost its GPUs while unfinished
   bool aborted = false;        ///< ended abnormally (killed / crashed)

@@ -105,13 +105,6 @@ const Gauge* MetricsRegistry::find_gauge(const std::string& name) const {
                                                                 : nullptr;
 }
 
-const Histogram* MetricsRegistry::find_histogram(const std::string& name) const {
-  auto it = entries_.find(name);
-  return it != entries_.end() && it->second.kind == Kind::Histogram
-             ? it->second.histogram.get()
-             : nullptr;
-}
-
 double MetricsRegistry::counter_value(const std::string& name) const {
   const Counter* c = find_counter(name);
   return c != nullptr ? c->value() : 0.0;

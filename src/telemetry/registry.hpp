@@ -109,7 +109,6 @@ class MetricsRegistry {
   /// Lookup without creation; nullptr when absent or a different kind.
   const Counter* find_counter(const std::string& name) const;
   const Gauge* find_gauge(const std::string& name) const;
-  const Histogram* find_histogram(const std::string& name) const;
 
   /// Convenience: a named counter's value, 0.0 when absent.
   double counter_value(const std::string& name) const;

@@ -21,38 +21,15 @@ const std::string& TimelineSampler::name(SeriesId id) const {
   return names_[id];
 }
 
-void TimelineSampler::set_tick_period(double period_s) {
-  ONES_EXPECT_MSG(period_s >= 0.0, "tick period must be >= 0");
-  ONES_EXPECT_MSG(points_.empty(), "set the tick period before recording");
-  tick_period_ = period_s;
-  next_tick_ = period_s;
-}
-
-void TimelineSampler::flush_ticks(double t) {
-  ONES_EXPECT_MSG(t >= last_t_ || !any_point_, "sim-time regressed in timeline");
-  if (tick_period_ <= 0.0) return;
-  while (next_tick_ <= t) {
-    for (SeriesId s = 0; s < names_.size(); ++s) {
-      if (has_value_[s]) points_.push_back({next_tick_, s, last_value_[s]});
-    }
-    next_tick_ += tick_period_;
-  }
-}
-
 void TimelineSampler::record(SeriesId id, double t, double value) {
   ONES_EXPECT_MSG(id < names_.size(), "unknown timeline series id");
-  flush_ticks(t);
+  ONES_EXPECT_MSG(t >= last_t_ || !any_point_, "sim-time regressed in timeline");
   last_t_ = t;
   any_point_ = true;
   if (has_value_[id] && last_value_[id] == value) return;  // step unchanged
   has_value_[id] = 1;
   last_value_[id] = value;
   points_.push_back({t, id, value});
-}
-
-void TimelineSampler::advance(double t) {
-  flush_ticks(t);
-  if (any_point_) last_t_ = t > last_t_ ? t : last_t_;
 }
 
 }  // namespace ones::telemetry

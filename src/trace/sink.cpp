@@ -3,6 +3,7 @@
 #include <filesystem>
 #include <sstream>
 #include <stdexcept>
+#include <system_error>
 
 #include "common/atomic_file.hpp"
 #include "common/json.hpp"
@@ -183,11 +184,14 @@ RunTraceWriter::RunTraceWriter(const std::string& dir, const std::string& stem) 
 }
 
 RunTraceWriter::~RunTraceWriter() {
-  try {
-    close();
-  } catch (...) {
-    // Destructor cleanup must not throw; close() explicitly to see errors.
-  }
+  if (closed_) return;
+  // Never closed: the run did not finish (it threw), so publish nothing.
+  chrome_.reset();
+  jsonl_out_.close();
+  chrome_out_.close();
+  std::error_code ignored;
+  fs::remove(jsonl_tmp_, ignored);
+  fs::remove(chrome_tmp_, ignored);
 }
 
 void RunTraceWriter::on_record(const TraceRecord& record) {

@@ -130,9 +130,9 @@ inline std::function<void(double, const std::string&)> protocol_phase_hook(
 
 /// Owns the two on-disk trace files of one run: `<dir>/<stem>.jsonl` and
 /// `<dir>/<stem>.trace.json`. Records stream to uniquely-named temp files
-/// that are renamed into place by `close()`, so an interrupted run never
-/// leaves a file that looks complete and concurrent writers of an identical
-/// spec never interleave.
+/// that only `close()` renames into place; a writer destroyed unclosed (the
+/// run threw) deletes them, so a failed run leaves no trace file at all and
+/// concurrent writers of an identical spec never interleave.
 class RunTraceWriter final : public TraceSink {
  public:
   RunTraceWriter(const std::string& dir, const std::string& stem);

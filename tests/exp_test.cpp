@@ -560,6 +560,36 @@ TEST(ExpMetrics, GridPublishesCacheStatsIntoRegistry) {
   EXPECT_DOUBLE_EQ(warm_registry.counter_value("exp_runs_executed_total"), 0.0);
 }
 
+/// FIFO that throws on its 5th event: a run that fails mid-simulation.
+class ThrowsOnFifthEvent final : public sched::FifoScheduler {
+ public:
+  std::optional<cluster::Assignment> on_event(const sched::ClusterState& state,
+                                              const sched::SchedulerEvent& event) override {
+    if (++events_ == 5) throw std::runtime_error("scheduler exploded");
+    return FifoScheduler::on_event(state, event);
+  }
+
+ private:
+  int events_ = 0;
+};
+
+TEST(ExpInstruments, FailedRunLeavesNoFile) {
+  // The trace streams while the run executes; a run that throws must not
+  // leave it behind under its final name (nor as a temp file).
+  TempCacheDir dir("ones_exp_failed_run_outputs");
+  std::vector<RunSpec> specs = {tiny_spec()};
+  specs[0].factory = [] { return std::make_unique<ThrowsOnFifthEvent>(); };
+  EXPECT_THROW(run_grid(specs, instrumented(quiet_options(1), kAllInstruments, dir.path())),
+               std::runtime_error);
+  std::vector<std::string> found;
+  if (fs::exists(dir.path())) {
+    for (const auto& e : fs::directory_iterator(dir.path())) {
+      found.push_back(e.path().filename().string());
+    }
+  }
+  EXPECT_EQ(found, std::vector<std::string>{});
+}
+
 TEST(ExpCache, DemotedCorruptEntryIsCounted) {
   TempCacheDir dir("ones_exp_demote_test");
   ResultCache cache(dir.path());

@@ -134,45 +134,15 @@ TEST(TimelineSampler, RejectsTimeRegression) {
   EXPECT_THROW(tl.record(s, 4.9, 2.0), std::logic_error);
 }
 
-TEST(TimelineSampler, TicksResampleAllSeriesAtBoundaries) {
-  TimelineSampler tl;
-  tl.set_tick_period(10.0);
-  const auto a = tl.series("a");
-  const auto b = tl.series("b");
-  tl.record(a, 0.0, 1.0);
-  tl.record(b, 0.0, 2.0);
-  // Crossing t=10 and t=20: each boundary re-samples both series with their
-  // pre-boundary values, then the change point lands.
-  tl.record(a, 25.0, 9.0);
-  tl.advance(30.0);  // flushes the t=30 boundary
-  std::vector<std::tuple<double, std::string, double>> got;
-  for (const auto& p : tl.points()) got.emplace_back(p.t, tl.name(p.series), p.value);
-  const std::vector<std::tuple<double, std::string, double>> want = {
-      {0.0, "a", 1.0},  {0.0, "b", 2.0},  {10.0, "a", 1.0}, {10.0, "b", 2.0},
-      {20.0, "a", 1.0}, {20.0, "b", 2.0}, {25.0, "a", 9.0}, {30.0, "a", 9.0},
-      {30.0, "b", 2.0},
-  };
-  EXPECT_EQ(got, want);
-}
-
-TEST(TimelineSampler, TickPeriodMustPrecedeFirstRecord) {
-  TimelineSampler tl;
-  const auto s = tl.series("s");
-  tl.record(s, 0.0, 1.0);
-  EXPECT_THROW(tl.set_tick_period(5.0), std::logic_error);
-  EXPECT_THROW(tl.set_tick_period(-1.0), std::logic_error);
-}
-
 TEST(TimelineSampler, IdenticalInputsProduceIdenticalPoints) {
   // Determinism: the sampler is a pure function of its call sequence.
   const auto drive = [](TimelineSampler& tl) {
-    tl.set_tick_period(7.0);
     const auto a = tl.series("a");
     const auto b = tl.series("b");
     tl.record(a, 0.0, 1.0);
     tl.record(b, 3.0, 4.0);
     tl.record(a, 16.0, 2.0);
-    tl.advance(22.0);
+    tl.record(b, 22.0, 4.0);  // unchanged -> dropped
   };
   TimelineSampler x, y;
   drive(x);

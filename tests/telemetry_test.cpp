@@ -22,7 +22,6 @@ TEST(Metrics, JctDecomposition) {
   EXPECT_DOUBLE_EQ(j.exec_time_s, 45.0);
   EXPECT_DOUBLE_EQ(j.queue_time(), 15.0);
   EXPECT_EQ(j.preemptions, 1);
-  EXPECT_DOUBLE_EQ(j.first_start_s, 15.0);
 }
 
 TEST(Metrics, VectorsOnlyIncludeCompleted) {

@@ -338,13 +338,13 @@ TEST_F(RunTraceWriterTest, PublishesBothFilesOnlyOnClose) {
   EXPECT_FALSE(std::getline(in, line));  // exactly one record
 }
 
-TEST_F(RunTraceWriterTest, DestructorPublishesToo) {
+TEST_F(RunTraceWriterTest, UnclosedWriterLeavesNoFile) {
   {
     RunTraceWriter writer(dir_.string(), "run");
     writer.on_record(full_record());
   }
-  EXPECT_TRUE(fs::exists(dir_ / "run.jsonl"));
-  EXPECT_TRUE(fs::exists(dir_ / "run.trace.json"));
+  // Neither the final names nor the temp files: an unfinished run is gone.
+  EXPECT_TRUE(fs::is_empty(dir_));
 }
 
 TEST(ProtocolPhaseHook, ScalingSessionMilestonesBecomeRecords) {
