@@ -579,27 +579,17 @@ void Assignment::audit_indexes() const {
 AssignmentDelta diff(const Assignment& prev, const Assignment& next) {
   ONES_EXPECT(prev.num_gpus() == next.num_gpus());
   AssignmentDelta d;
-  // Membership tests against id-sorted copies; output order still comes from
-  // running_jobs() (first-occurrence), exactly as before.
-  const auto prev_ids = prev.running_jobs();
-  const auto next_ids = next.running_jobs();
-  std::vector<JobId> prev_sorted(prev_ids.begin(), prev_ids.end());
-  std::vector<JobId> next_sorted(next_ids.begin(), next_ids.end());
-  std::sort(prev_sorted.begin(), prev_sorted.end());
-  std::sort(next_sorted.begin(), next_sorted.end());
-
-  for (const JobId j : next_ids) {
-    if (!std::binary_search(prev_sorted.begin(), prev_sorted.end(), j)) {
+  // Membership through the job index (gpu_count is one probe); output order
+  // comes from running_jobs() (first-occurrence).
+  for (const JobId j : next.running_jobs()) {
+    if (prev.gpu_count(j) == 0) {
       d.started.push_back(j);
-      continue;
+    } else if (!prev.same_placement(next, j)) {
+      d.reconfigured.push_back(j);  // placement or batches changed
     }
-    // Same job on both sides: did its placement or batches change?
-    if (!prev.same_placement(next, j)) d.reconfigured.push_back(j);
   }
-  for (const JobId j : prev_ids) {
-    if (!std::binary_search(next_sorted.begin(), next_sorted.end(), j)) {
-      d.stopped.push_back(j);
-    }
+  for (const JobId j : prev.running_jobs()) {
+    if (next.gpu_count(j) == 0) d.stopped.push_back(j);
   }
   return d;
 }

@@ -51,10 +51,4 @@ LocalityStats locality_stats(const Assignment& assignment, const Topology& topol
   return stats;
 }
 
-bool can_place_colocated(const Assignment& assignment, const Topology& topology,
-                         int size) {
-  ONES_EXPECT(size >= 1);
-  return fragmentation_stats(assignment, topology).largest_colocated_block >= size;
-}
-
 }  // namespace ones::cluster

@@ -35,8 +35,4 @@ struct LocalityStats {
 
 LocalityStats locality_stats(const Assignment& assignment, const Topology& topology);
 
-/// True iff a gang of `size` GPUs can be placed on a single node.
-bool can_place_colocated(const Assignment& assignment, const Topology& topology,
-                         int size);
-
 }  // namespace ones::cluster

@@ -10,17 +10,6 @@
 
 namespace ones {
 
-/// Round x up to the next power of two (x >= 1).
-inline std::int64_t next_pow2(std::int64_t x) {
-  ONES_EXPECT(x >= 1);
-  std::int64_t p = 1;
-  while (p < x) p <<= 1;
-  return p;
-}
-
-/// True iff x is a power of two.
-inline bool is_pow2(std::int64_t x) { return x >= 1 && (x & (x - 1)) == 0; }
-
 /// Integer ceiling division for non-negative operands.
 inline std::int64_t ceil_div(std::int64_t a, std::int64_t b) {
   ONES_EXPECT(a >= 0 && b > 0);

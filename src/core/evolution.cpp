@@ -11,6 +11,8 @@
 
 #include "common/expect.hpp"
 #include "energy/power_model.hpp"
+#include "model/throughput.hpp"
+#include "sched/placement.hpp"
 
 namespace ones::core {
 
@@ -37,19 +39,6 @@ void trim(cluster::Assignment& candidate, JobId job, int c) {
   // drops) the job's list, so it is read afresh every time.
   for (int have = candidate.gpu_count(job); have > c; --have) {
     candidate.clear(candidate.gpus_of(job).back());
-  }
-}
-
-/// Split global batch `b` evenly over the GPUs of `job`, remainder first.
-/// Re-placing the job's own GPUs changes only batches, so the GPU view
-/// stays valid throughout.
-void split(cluster::Assignment& candidate, JobId job, int b) {
-  const auto gpus = candidate.gpus_of(job);
-  const int c = static_cast<int>(gpus.size());
-  const int base = b / c;
-  const int rem = b % c;
-  for (int i = 0; i < c; ++i) {
-    candidate.place(gpus[static_cast<std::size_t>(i)], job, base + (i < rem ? 1 : 0));
   }
 }
 
@@ -80,7 +69,7 @@ struct FillPrice {
   double spread_x2 = 0.0;
 };
 
-/// Buffers of fill_idle, score and the job-list helpers, reused so that
+/// Buffers of fill_idle and the job-list helpers, reused so that
 /// none of them allocates once warm. Nothing is read across calls: prices
 /// carry the stamp of the call that computed them, and the lists are
 /// cleared on entry. One set per thread, not per Evolution: a call uses
@@ -93,7 +82,6 @@ struct Scratch {
   std::vector<JobId> resume;      ///< absent active jobs, active_jobs() order
   std::vector<FillAction> actions;
   std::vector<double> weights;
-  std::vector<int> batches;       ///< score's per-job local batches
   std::vector<JobId> running;     ///< running_copy's job order
   std::vector<JobId> finished;    ///< drop_finished's evictions
 };
@@ -131,10 +119,11 @@ FillPrice& fill_price(const Evolution& evo, const cluster::Assignment& candidate
   p.warmed = ctx.limits->warmed_up(v);
   if (!p.warmed) return p;  // offers no scale-up or spread option
   p.r_limit = evo.effective_limit(v, ctx);
-  p.b = candidate.global_batch(job);
-  p.c = candidate.gpu_count(job);
+  const model::PlacedJob placed = model::read_placed(candidate, *ctx.state->topology, job);
+  p.b = placed.global_batch;
+  p.c = placed.workers();
   p.y = std::max(ctx.expected_remaining(v), 1.0);
-  p.x1 = ctx.state->oracle->estimate_placed_sps(v, candidate);
+  p.x1 = ctx.state->oracle->estimate_placed_sps(v, placed);
   return p;
 }
 
@@ -216,17 +205,14 @@ double Evolution::score(const cluster::Assignment& candidate, const EvolutionCon
   const auto jobs = candidate.running_jobs();
   for (JobId j : jobs) {
     const auto& v = ctx.view(j);
-    const double x = ctx.state->oracle->estimate_placed_sps(v, candidate);
+    const model::PlacedJob placed = model::read_placed(candidate, *ctx.state->topology, j);
+    const double x = ctx.state->oracle->estimate_placed_sps(v, placed);
     const double rem = remaining_samples(v, rho[static_cast<std::size_t>(j)]);
-    total += rem * static_cast<double>(candidate.gpu_count(j)) / x;
+    total += rem * static_cast<double>(placed.workers()) / x;
     if (energy_aware) {
       // Predicted joules to finish under this placement, in TDP-GPU-second
       // units so lambda trades them against the SRUF GPU-seconds above.
-      const auto gpus = candidate.gpus_of(j);
-      scratch.batches.clear();
-      for (GpuId g : gpus) scratch.batches.push_back(candidate.slot(g).local_batch);
-      const double watts = ctx.state->power->job_watts(
-          *v.profile, scratch.batches, ctx.state->topology->link_profile(gpus));
+      const double watts = ctx.state->power->job_watts(*v.profile, candidate, placed);
       total += config_.lambda_energy * (rem / x) * watts /
                ctx.state->power->config().gpu_busy_w;
     }
@@ -263,7 +249,8 @@ void Evolution::clamp_job(cluster::Assignment& candidate, JobId job,
 
   const int max_b = std::min(r_limit, target_c * v.profile->max_local_batch);
   // Even re-split (repairs crossover children with lopsided inherited genes).
-  split(candidate, job, std::clamp(candidate.global_batch(job), target_c, max_b));
+  sched::place_job_even(candidate, job, candidate.gpus_of(job),
+                        std::clamp(candidate.global_batch(job), target_c, max_b));
 }
 
 void Evolution::repair(cluster::Assignment& candidate, const EvolutionContext& ctx) {
@@ -372,9 +359,9 @@ void Evolution::fill_idle(cluster::Assignment& candidate, const EvolutionContext
       }
       // Raise the batch toward the limit with the new worker count, then
       // re-split evenly (clamp_job also enforces memory limits).
-      split(candidate, act.job,
-            std::clamp(std::min(r_limit, local * target_c), target_c,
-                       target_c * v.profile->max_local_batch));
+      sched::place_job_even(candidate, act.job, candidate.gpus_of(act.job),
+                            std::clamp(std::min(r_limit, local * target_c), target_c,
+                                       target_c * v.profile->max_local_batch));
       clamp_job(candidate, act.job, ctx);
     }
     // The actor's worker set changed: re-price it on its next use.
@@ -397,7 +384,8 @@ void Evolution::refresh(cluster::Assignment& candidate, const EvolutionContext& 
       const int target_c =
           std::max(1, static_cast<int>(static_cast<std::int64_t>(r_limit) * c / b));
       trim(candidate, j, target_c);
-      split(candidate, j, target_c * (std::max(r_limit, target_c) / target_c));
+      sched::place_job_even(candidate, j, candidate.gpus_of(j),
+                            target_c * (std::max(r_limit, target_c) / target_c));
     }
     clamp_job(candidate, j, ctx);
   }

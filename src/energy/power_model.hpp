@@ -6,9 +6,11 @@
 //
 //   u_i = (t_fixed + max(b_i, min_util_batch) * t_sample) / step_time
 //
-// with step_time from model::step_time_s — the same decomposition the
+// with step_time the job's model::step_time_s — the same decomposition the
 // throughput model uses, so power scales with the batch assignment exactly
-// like throughput does. The electrical model is the usual affine one:
+// like throughput does. A job is priced from its model::read_placed shape:
+// the step time is evaluated once per job, and each worker adds its own
+// term in ascending GPU order. The electrical model is the usual affine one:
 //
 //   watts_i = gpu_idle_w + (gpu_busy_w - gpu_idle_w)
 //                        * (u_i + comm_power_fraction * (1 - u_i))
@@ -25,14 +27,13 @@
 // bit-identical watts on every platform the throughput model does.
 #pragma once
 
-#include <cstddef>
 #include <functional>
-#include <span>
 
 #include "cluster/assignment.hpp"
 #include "cluster/topology.hpp"
 #include "common/ids.hpp"
 #include "model/task.hpp"
+#include "model/throughput.hpp"
 
 namespace ones::energy {
 
@@ -55,20 +56,20 @@ class PowerModel {
   double idle_gpu_watts() const { return config_.gpu_idle_w; }
   double node_base_watts() const { return config_.node_base_w; }
 
-  /// Watts drawn by worker `index` of a job running `local_batches` over
-  /// `link` (the slowest link of the worker set, as in model::step_time_s).
-  double worker_watts(const model::TaskProfile& profile,
-                      std::span<const int> local_batches, std::size_t index,
-                      const cluster::LinkProfile& link) const;
+  /// Watts drawn by a worker with local batch `local_batch` in a
+  /// synchronous step of `step_s` seconds (its job's step time).
+  double worker_watts(const model::TaskProfile& profile, int local_batch,
+                      double step_s) const;
 
-  /// Sum of worker_watts over all workers.
+  /// Sum of worker_watts over `job`'s workers in ascending GPU order, with
+  /// the step time evaluated once. `job` is read from `assignment`.
   double job_watts(const model::TaskProfile& profile,
-                   std::span<const int> local_batches,
-                   const cluster::LinkProfile& link) const;
+                   const cluster::Assignment& assignment,
+                   const model::PlacedJob& job) const;
 
-  /// job_watts with `global_batch` split evenly over `workers` GPUs — the
-  /// candidate-evaluation form used by schedulers (mirrors
-  /// model::throughput_even_sps).
+  /// job_watts with `global_batch` split evenly over `workers` GPUs
+  /// (model::even_share) — the candidate-evaluation form used by schedulers
+  /// (mirrors model::throughput_even_sps).
   double job_watts_even(const model::TaskProfile& profile, int global_batch,
                         int workers, const cluster::LinkProfile& link) const;
 

@@ -10,7 +10,6 @@
 #include <unordered_map>
 
 #include "common/expect.hpp"
-#include "common/math_util.hpp"
 #include "exp/progress.hpp"
 #include "prof/export.hpp"
 #include "sched/simulation.hpp"
@@ -246,15 +245,8 @@ RunResult pool_runs(const std::vector<RunResult>& runs) {
     overhead_sum += r.summary.overhead_joules;
     pooled.from_cache = pooled.from_cache || r.from_cache;
   }
-  pooled.summary.jobs = pooled.jcts.size();
-  if (!pooled.jcts.empty()) {
-    pooled.summary.avg_jct = mean_of(pooled.jcts);
-    pooled.summary.avg_exec = mean_of(pooled.exec_times);
-    pooled.summary.avg_queue = mean_of(pooled.queue_times);
-    pooled.summary.p50_jct = quantile(pooled.jcts, 0.5);
-    pooled.summary.p90_jct = quantile(pooled.jcts, 0.9);
-    pooled.summary.max_jct = quantile(pooled.jcts, 1.0);
-  }
+  telemetry::summarize_jcts(pooled.summary, pooled.jcts, pooled.exec_times,
+                            pooled.queue_times);
   pooled.summary.makespan = makespan_sum / static_cast<double>(runs.size());
   pooled.summary.utilization = util_sum / static_cast<double>(runs.size());
   pooled.summary.cluster_joules = joules_sum / static_cast<double>(runs.size());

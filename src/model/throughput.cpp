@@ -1,10 +1,28 @@
 #include "model/throughput.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "common/expect.hpp"
 
 namespace ones::model {
+
+PlacedJob read_placed(const cluster::Assignment& assignment,
+                      const cluster::Topology& topology, JobId job) {
+  PlacedJob placed;
+  placed.gpus = assignment.gpus_of(job);
+  ONES_EXPECT_MSG(!placed.gpus.empty(), "job has no workers in this assignment");
+  for (const GpuId g : placed.gpus) {
+    const int b = assignment.slot(g).local_batch;
+    placed.global_batch += b;
+    placed.largest_batch = std::max(placed.largest_batch, b);
+  }
+  // Node ids grow with GPU ids, so the two ends of the ascending list span
+  // the same nodes as the whole list.
+  const std::array<GpuId, 2> ends{placed.gpus.front(), placed.gpus.back()};
+  placed.link = topology.link_profile(ends);
+  return placed;
+}
 
 double step_time_shape_s(const TaskProfile& profile, int workers, int max_local_batch,
                          const cluster::LinkProfile& link) {
@@ -25,39 +43,19 @@ double step_time_shape_s(const TaskProfile& profile, int workers, int max_local_
   return compute + comm;
 }
 
-double step_time_s(const TaskProfile& profile, const std::vector<int>& local_batches,
-                   const cluster::LinkProfile& link) {
-  ONES_EXPECT(!local_batches.empty());
-  int max_b = 0;
-  for (int b : local_batches) {
-    ONES_EXPECT_MSG(b >= 1, "every worker needs at least one sample");
-    max_b = std::max(max_b, b);
-  }
-  return step_time_shape_s(profile, static_cast<int>(local_batches.size()), max_b, link);
+double step_time_s(const TaskProfile& profile, const PlacedJob& job) {
+  return step_time_shape_s(profile, job.workers(), job.largest_batch, job.link);
 }
 
-std::vector<int> even_split(int global_batch, int workers) {
-  ONES_EXPECT(workers >= 1);
-  ONES_EXPECT_MSG(global_batch >= workers, "cannot give every worker a sample");
-  std::vector<int> out(static_cast<std::size_t>(workers), global_batch / workers);
-  const int rem = global_batch % workers;
-  for (int i = 0; i < rem; ++i) out[static_cast<std::size_t>(i)] += 1;
-  return out;
+double throughput_sps(const TaskProfile& profile, const PlacedJob& job) {
+  return static_cast<double>(job.global_batch) / step_time_s(profile, job);
 }
 
 double step_time_even_s(const TaskProfile& profile, int global_batch, int workers,
                         const cluster::LinkProfile& link) {
   ONES_EXPECT(workers >= 1);
   ONES_EXPECT_MSG(global_batch >= workers, "cannot give every worker a sample");
-  const int largest = global_batch / workers + (global_batch % workers != 0 ? 1 : 0);
-  return step_time_shape_s(profile, workers, largest, link);
-}
-
-double throughput_sps(const TaskProfile& profile, const std::vector<int>& local_batches,
-                      const cluster::LinkProfile& link) {
-  int total = 0;
-  for (int b : local_batches) total += b;
-  return static_cast<double>(total) / step_time_s(profile, local_batches, link);
+  return step_time_shape_s(profile, workers, even_share(global_batch, workers, 0), link);
 }
 
 double throughput_even_sps(const TaskProfile& profile, int global_batch, int workers,

@@ -13,14 +13,41 @@
 // but comm grows and throughput peaks at ~2 workers then drops; with an
 // *elastic* global batch (B grows with c), per-worker utilization stays high
 // and throughput keeps climbing.
+//
+// A placed job is read once (read_placed) into the shape the formula needs:
+// c, B, max_i(b_i) and the link. The oracle, the driver's true throughput
+// and the power model all price that shape.
 #pragma once
 
-#include <vector>
+#include <span>
 
+#include "cluster/assignment.hpp"
 #include "cluster/topology.hpp"
+#include "common/ids.hpp"
 #include "model/task.hpp"
 
 namespace ones::model {
+
+/// Local batch of worker `index` when `global_batch` is split as evenly as
+/// possible over `workers` GPUs: the first B % c workers get one extra
+/// sample. Every even split in the simulator follows this rule.
+constexpr int even_share(int global_batch, int workers, int index) {
+  return global_batch / workers + (index < global_batch % workers ? 1 : 0);
+}
+
+/// What the step model reads of a job placed in an Assignment.
+struct PlacedJob {
+  std::span<const GpuId> gpus;  ///< ascending; valid until the assignment changes
+  int global_batch = 0;         ///< B = sum of the local batches
+  int largest_batch = 0;        ///< max_i(b_i)
+  cluster::LinkProfile link;    ///< slowest link of the worker set
+
+  int workers() const { return static_cast<int>(gpus.size()); }
+};
+
+/// One pass over `job`'s GPUs in `assignment`. The job must hold a GPU.
+PlacedJob read_placed(const cluster::Assignment& assignment,
+                      const cluster::Topology& topology, JobId job);
 
 /// Step time of `workers` GPUs whose largest local batch is
 /// `max_local_batch`: the formula above depends on the batch vector only
@@ -30,25 +57,19 @@ namespace ones::model {
 double step_time_shape_s(const TaskProfile& profile, int workers, int max_local_batch,
                          const cluster::LinkProfile& link);
 
-/// Step time for an explicit per-worker batch vector.
-double step_time_s(const TaskProfile& profile, const std::vector<int>& local_batches,
-                   const cluster::LinkProfile& link);
+/// Step time of a placed job.
+double step_time_s(const TaskProfile& profile, const PlacedJob& job);
 
-/// Step time when the global batch B is split as evenly as possible over c
-/// workers (the largest share is ceil(B / c)).
+/// Throughput (samples/s) of a placed job.
+double throughput_sps(const TaskProfile& profile, const PlacedJob& job);
+
+/// Step time when the global batch B is split evenly over c workers
+/// (even_share; the largest share is ceil(B / c)).
 double step_time_even_s(const TaskProfile& profile, int global_batch, int workers,
                         const cluster::LinkProfile& link);
-
-/// Throughput (samples/s) for an explicit batch vector.
-double throughput_sps(const TaskProfile& profile, const std::vector<int>& local_batches,
-                      const cluster::LinkProfile& link);
 
 /// Throughput (samples/s) with an even split.
 double throughput_even_sps(const TaskProfile& profile, int global_batch, int workers,
                            const cluster::LinkProfile& link);
-
-/// Split a global batch as evenly as possible over `workers` GPUs
-/// (first B % c workers get one extra sample).
-std::vector<int> even_split(int global_batch, int workers);
 
 }  // namespace ones::model

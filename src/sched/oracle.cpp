@@ -1,11 +1,9 @@
 #include "sched/oracle.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/expect.hpp"
 #include "common/rng.hpp"
-#include "model/throughput.hpp"
 
 namespace ones::sched {
 
@@ -42,21 +40,10 @@ double ThroughputOracle::estimate_sps(const JobView& job, int workers, int batch
 }
 
 double ThroughputOracle::estimate_placed_sps(const JobView& job,
-                                             const cluster::Assignment& assignment) const {
+                                             const model::PlacedJob& placed) const {
   ONES_EXPECT(job.profile != nullptr);
-  const auto gpus = assignment.gpus_of(job.spec.id);
-  ONES_EXPECT_MSG(!gpus.empty(), "job has no workers in this assignment");
-  int total = 0;
-  int largest = 0;
-  for (const GpuId g : gpus) {
-    const int b = assignment.slot(g).local_batch;
-    total += b;
-    largest = std::max(largest, b);
-  }
-  const int c = static_cast<int>(gpus.size());
-  const double step =
-      model::step_time_shape_s(*job.profile, c, largest, topology_.link_profile(gpus));
-  return static_cast<double>(total) / step * noise_factor(job.spec.id, c, total);
+  return model::throughput_sps(*job.profile, placed) *
+         noise_factor(job.spec.id, placed.workers(), placed.global_batch);
 }
 
 }  // namespace ones::sched

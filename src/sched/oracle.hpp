@@ -12,6 +12,7 @@
 #include <cstdint>
 
 #include "cluster/topology.hpp"
+#include "model/throughput.hpp"
 #include "sched/scheduler.hpp"
 
 namespace ones::sched {
@@ -33,9 +34,9 @@ class ThroughputOracle {
   /// selects the intra-node link profile; otherwise the inter-node fabric.
   double estimate_sps(const JobView& job, int workers, int batch, bool colocated) const;
 
-  /// Estimate for a concrete placement (uses the true link profile of the
-  /// GPU set and the exact per-slot batch split).
-  double estimate_placed_sps(const JobView& job, const cluster::Assignment& assignment) const;
+  /// Estimate for a concrete placement (model::read_placed: the true link
+  /// profile of the GPU set and the exact per-slot batch split).
+  double estimate_placed_sps(const JobView& job, const model::PlacedJob& placed) const;
 
   /// Whether `workers` GPUs can fit on one node of this topology.
   bool can_colocate(int workers) const;

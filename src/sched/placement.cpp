@@ -87,11 +87,12 @@ std::vector<GpuId> pick_idle_gpus(const cluster::Assignment& assignment,
 }
 
 void place_job_even(cluster::Assignment& assignment, JobId job,
-                    const std::vector<GpuId>& gpus, int global_batch) {
+                    std::span<const GpuId> gpus, int global_batch) {
   ONES_EXPECT(!gpus.empty());
-  const auto split = model::even_split(global_batch, static_cast<int>(gpus.size()));
-  for (std::size_t i = 0; i < gpus.size(); ++i) {
-    assignment.place(gpus[i], job, split[i]);
+  const int c = static_cast<int>(gpus.size());
+  for (int i = 0; i < c; ++i) {
+    assignment.place(gpus[static_cast<std::size_t>(i)], job,
+                     model::even_share(global_batch, c, i));
   }
 }
 

@@ -27,9 +27,11 @@ namespace ones::sched {
 std::vector<GpuId> pick_idle_gpus(const cluster::Assignment& assignment,
                                   const cluster::Topology& topology, int count);
 
-/// Place `job` on `gpus` splitting `global_batch` as evenly as possible.
+/// Place `job` on `gpus` splitting `global_batch` evenly (model::even_share).
+/// `gpus` may be the job's own gpus_of view: re-placing its own GPUs
+/// changes only batches, so the view stays valid throughout.
 void place_job_even(cluster::Assignment& assignment, JobId job,
-                    const std::vector<GpuId>& gpus, int global_batch);
+                    std::span<const GpuId> gpus, int global_batch);
 
 /// A job picked for the next gang schedule, with its worker count.
 struct Pick {

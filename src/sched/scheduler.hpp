@@ -38,8 +38,6 @@ namespace ones::sched {
 /// simply ends the backoff early.
 enum class JobStatus { Waiting, Running, Completed, Recovering };
 
-const char* status_name(JobStatus status);
-
 /// How a scheduler's re-configurations are executed, which determines the
 /// cost charged per change (paper §4.3): ONES uses the elastic mechanism
 /// (~1 s); the baselines use checkpoint-based migration (tens of seconds).

@@ -20,16 +20,6 @@ const std::vector<double> kRetryDepthBounds = {1.0, 2.0, 3.0, 4.0, 6.0, 8.0};
 
 }  // namespace
 
-const char* status_name(JobStatus status) {
-  switch (status) {
-    case JobStatus::Waiting: return "waiting";
-    case JobStatus::Running: return "running";
-    case JobStatus::Completed: return "completed";
-    case JobStatus::Recovering: return "recovering";
-  }
-  return "?";
-}
-
 const char* event_name(EventKind kind) {
   switch (kind) {
     case EventKind::JobArrival: return "arrival";
@@ -270,14 +260,8 @@ void ClusterSimulation::run() {
 }
 
 double ClusterSimulation::actual_tput(JobId job) const {
-  const auto& rt = runtime(job);
-  const auto gpus = current_.gpus_of(job);
-  ONES_EXPECT(!gpus.empty());
-  std::vector<int> batches;
-  batches.reserve(gpus.size());
-  for (GpuId g : gpus) batches.push_back(current_.slot(g).local_batch);
-  const cluster::LinkProfile link = topology_.link_profile(gpus);
-  return model::throughput_sps(*rt.view.profile, batches, link);
+  return model::throughput_sps(*runtime(job).view.profile,
+                               model::read_placed(current_, topology_, job));
 }
 
 int ClusterSimulation::busy_gpus() const {

@@ -87,7 +87,7 @@ class ClusterSimulation {
   void run();
 
   const telemetry::MetricsCollector& metrics() const { return metrics_; }
-  /// Integrated per-job / per-node / cluster joules (final after run()).
+  /// Integrated cluster and overhead joules (final after run()).
   const energy::EnergyMeter& energy() const { return energy_; }
   /// telemetry::summarize over this run's metrics with the energy objective
   /// filled in (summarize() itself cannot: telemetry layers below energy).

@@ -1,7 +1,6 @@
 #include "stats/descriptive.hpp"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "common/expect.hpp"
 #include "common/math_util.hpp"
@@ -52,14 +51,6 @@ Ecdf ecdf(std::vector<double> sample) {
     e.f[i] = static_cast<double>(i + 1) / n;
   }
   return e;
-}
-
-std::string format_box(const BoxStats& b) {
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "n=%zu mean=%.1f min=%.1f q1=%.1f med=%.1f q3=%.1f max=%.1f outliers=%zu",
-                b.n, b.mean, b.min, b.q1, b.median, b.q3, b.max, b.outliers.size());
-  return buf;
 }
 
 }  // namespace ones::stats

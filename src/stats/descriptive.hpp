@@ -2,7 +2,6 @@
 // (Figure 15 b/e style) and empirical CDFs (Figure 15 g/h/i style).
 #pragma once
 
-#include <string>
 #include <vector>
 
 namespace ones::stats {
@@ -33,8 +32,5 @@ struct Ecdf {
 };
 
 Ecdf ecdf(std::vector<double> sample);
-
-/// Render a one-line textual summary (for bench/report output).
-std::string format_box(const BoxStats& b);
 
 }  // namespace ones::stats

@@ -138,17 +138,23 @@ Summary summarize(const std::string& scheduler, const MetricsCollector& metrics,
   Summary s;
   s.scheduler = scheduler;
   const auto jct = metrics.jcts();
-  s.jobs = jct.size();
+  summarize_jcts(s, jct, metrics.exec_times(), metrics.queue_times());
   if (jct.empty()) return s;
-  s.avg_jct = mean_of(jct);
-  s.avg_exec = mean_of(metrics.exec_times());
-  s.avg_queue = mean_of(metrics.queue_times());
-  s.p50_jct = quantile(jct, 0.5);
-  s.p90_jct = quantile(jct, 0.9);
-  s.max_jct = quantile(jct, 1.0);
   s.makespan = metrics.makespan();
   s.utilization = metrics.avg_utilization(capacity, s.makespan);
   return s;
+}
+
+void summarize_jcts(Summary& summary, const std::vector<double>& jct,
+                    const std::vector<double>& exec, const std::vector<double>& queue) {
+  summary.jobs = jct.size();
+  if (jct.empty()) return;
+  summary.avg_jct = mean_of(jct);
+  summary.avg_exec = mean_of(exec);
+  summary.avg_queue = mean_of(queue);
+  summary.p50_jct = quantile(jct, 0.5);
+  summary.p90_jct = quantile(jct, 0.9);
+  summary.max_jct = quantile(jct, 1.0);
 }
 
 std::string format_summary_header() {

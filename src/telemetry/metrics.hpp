@@ -94,6 +94,13 @@ struct Summary {
 Summary summarize(const std::string& scheduler, const MetricsCollector& metrics,
                   int capacity);
 
+/// Sets `summary`'s job count and JCT statistics (avg JCT / exec / queue,
+/// p50 / p90 / max JCT) from finished jobs' JCT, execution and queueing
+/// times; the statistics stay 0 when `jct` is empty. summarize() and the
+/// orchestrator's seed pooling both use it.
+void summarize_jcts(Summary& summary, const std::vector<double>& jct,
+                    const std::vector<double>& exec, const std::vector<double>& queue);
+
 std::string format_summary_header();
 std::string format_summary_row(const Summary& summary);
 

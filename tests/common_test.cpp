@@ -155,21 +155,6 @@ TEST(Rng, ForkProducesIndependentStream) {
   EXPECT_NE(a.next(), child.next());
 }
 
-TEST(MathUtil, NextPow2) {
-  EXPECT_EQ(next_pow2(1), 1);
-  EXPECT_EQ(next_pow2(2), 2);
-  EXPECT_EQ(next_pow2(3), 4);
-  EXPECT_EQ(next_pow2(1000), 1024);
-}
-
-TEST(MathUtil, IsPow2) {
-  EXPECT_TRUE(is_pow2(1));
-  EXPECT_TRUE(is_pow2(64));
-  EXPECT_FALSE(is_pow2(0));
-  EXPECT_FALSE(is_pow2(3));
-  EXPECT_FALSE(is_pow2(-4));
-}
-
 TEST(MathUtil, CeilDiv) {
   EXPECT_EQ(ceil_div(10, 3), 4);
   EXPECT_EQ(ceil_div(9, 3), 3);

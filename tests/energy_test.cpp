@@ -1,18 +1,22 @@
 // Tests for the src/energy subsystem (DESIGN.md §10): PowerModel purity and
-// bounds, joules pinned bit for bit, the meter's agreement with the exported
-// `cluster_watts` timeline (joules are the exact integral of the published
+// bounds, placed-job pricing and joules pinned bit for bit, the meter's
+// agreement with the exported `cluster_watts` timeline (joules are the exact integral of the published
 // step function), the §9 observability contract (instrumented == plain), and
 // the λ=0 guarantee that the power model is purely observational.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "core/ones_scheduler.hpp"
 #include "energy/meter.hpp"
 #include "energy/power_model.hpp"
 #include "model/task.hpp"
+#include "model/throughput.hpp"
+#include "reference_evolution.hpp"
 #include "sched/fifo.hpp"
 #include "sched/powercap.hpp"
 #include "sched/simulation.hpp"
@@ -60,12 +64,10 @@ TEST(PowerModel, WorkerWattsStayWithinIdleBusyRange) {
   const PowerModel pm{PowerConfig{}};
   const auto profile = test_profile();
   for (int b : {1, 8, 64, profile.max_local_batch}) {
-    const std::vector<int> batches(4, b);
-    for (std::size_t i = 0; i < batches.size(); ++i) {
-      const double w = pm.worker_watts(profile, batches, i, fast_link());
-      EXPECT_GE(w, pm.config().gpu_idle_w);
-      EXPECT_LE(w, pm.config().gpu_busy_w);
-    }
+    const double step = model::step_time_even_s(profile, 4 * b, 4, fast_link());
+    const double w = pm.worker_watts(profile, b, step);
+    EXPECT_GE(w, pm.config().gpu_idle_w);
+    EXPECT_LE(w, pm.config().gpu_busy_w);
   }
 }
 
@@ -75,30 +77,103 @@ TEST(PowerModel, LargerBatchDrawsMoreOnACommBoundWorker) {
   const PowerModel pm{PowerConfig{}};
   const auto profile = test_profile();
   const cluster::LinkProfile slow{1.0e9, 2.5e-5};
+  const int big = profile.max_local_batch;
   const double w_small =
-      pm.worker_watts(profile, std::vector<int>(4, 4), 0, slow);
+      pm.worker_watts(profile, 4, model::step_time_even_s(profile, 16, 4, slow));
   const double w_large =
-      pm.worker_watts(profile, std::vector<int>(4, profile.max_local_batch), 0, slow);
+      pm.worker_watts(profile, big, model::step_time_even_s(profile, 4 * big, 4, slow));
   EXPECT_LT(w_small, w_large);
+}
+
+/// One node of four GPUs running job 1 with `batches` on GPUs 0, 1, ...
+cluster::Assignment one_job(const cluster::Topology& topo, const std::vector<int>& batches) {
+  cluster::Assignment a(topo.total_gpus());
+  for (std::size_t i = 0; i < batches.size(); ++i) {
+    a.place(static_cast<GpuId>(i), 1, batches[i]);
+  }
+  return a;
 }
 
 TEST(PowerModel, JobWattsIsSumOfWorkerWatts) {
   const PowerModel pm{PowerConfig{}};
   const auto profile = test_profile();
+  const cluster::Topology topo{cluster::TopologyConfig{}};
   const std::vector<int> batches{16, 16, 32, 8};
+  const cluster::Assignment a = one_job(topo, batches);
+  const model::PlacedJob placed = model::read_placed(a, topo, 1);
+  const double step = model::step_time_s(profile, placed);
   double sum = 0.0;
-  for (std::size_t i = 0; i < batches.size(); ++i) {
-    sum += pm.worker_watts(profile, batches, i, fast_link());
-  }
-  EXPECT_DOUBLE_EQ(pm.job_watts(profile, batches, fast_link()), sum);
+  for (const int b : batches) sum += pm.worker_watts(profile, b, step);
+  EXPECT_DOUBLE_EQ(pm.job_watts(profile, a, placed), sum);
 }
 
 TEST(PowerModel, EvenSplitMatchesExplicitBatches) {
   const PowerModel pm{PowerConfig{}};
   const auto profile = test_profile();
+  const cluster::Topology topo{cluster::TopologyConfig{}};
   // 64 over 4 workers -> {16, 16, 16, 16}.
-  EXPECT_DOUBLE_EQ(pm.job_watts_even(profile, 64, 4, fast_link()),
-                   pm.job_watts(profile, std::vector<int>(4, 16), fast_link()));
+  const cluster::Assignment a = one_job(topo, std::vector<int>(4, 16));
+  const model::PlacedJob placed = model::read_placed(a, topo, 1);
+  EXPECT_DOUBLE_EQ(pm.job_watts_even(profile, 64, 4, placed.link),
+                   pm.job_watts(profile, a, placed));
+}
+
+// The placed-job reader prices throughput and watts from one pass over the
+// job's GPUs, with the step time evaluated once per job. The vector formulas
+// it replaced (tests/reference_evolution.hpp) are the specification: on
+// random uneven placements of 1-32 workers every double must match bit for
+// bit, because ONES compares these doubles and the meter integrates them.
+TEST(PowerModel, PlacedPricingIsBitIdenticalToTheVectorFormulas) {
+  cluster::TopologyConfig tc;
+  tc.num_nodes = 8;
+  tc.gpus_per_node = 8;
+  const cluster::Topology topo(tc);
+  PowerConfig skewed;
+  skewed.comm_power_fraction = 0.6;
+  skewed.gpu_busy_w = 250.0;
+  Rng rng(2024);
+  std::vector<GpuId> all(static_cast<std::size_t>(topo.total_gpus()));
+  for (std::size_t g = 0; g < all.size(); ++g) all[g] = static_cast<GpuId>(g);
+  for (const PowerConfig& cfg : {PowerConfig{}, skewed}) {
+    const PowerModel pm{cfg};
+    for (const auto& profile : model::builtin_profiles()) {
+      for (int trial = 0; trial < 40; ++trial) {
+        const int c = static_cast<int>(rng.uniform_int(1, 32));
+        // Half the small sets stay on one node; the rest are scattered.
+        std::vector<GpuId> gpus;
+        if (c <= tc.gpus_per_node && rng.bernoulli(0.5)) {
+          const GpuId first =
+              static_cast<GpuId>(rng.uniform_int(0, tc.num_nodes - 1)) * tc.gpus_per_node;
+          for (int i = 0; i < c; ++i) gpus.push_back(first + i);
+        } else {
+          rng.shuffle(all);
+          gpus.assign(all.begin(), all.begin() + c);
+          std::sort(gpus.begin(), gpus.end());
+        }
+        // Uneven local batches on both sides of the launch-bound floor.
+        const int top = std::max(profile.max_local_batch, 2 * profile.min_util_batch);
+        cluster::Assignment a(topo.total_gpus());
+        std::vector<int> batches;
+        for (const GpuId g : gpus) {
+          batches.push_back(static_cast<int>(rng.uniform_int(1, top)));
+          a.place(g, 1, batches.back());
+        }
+        const model::PlacedJob placed = model::read_placed(a, topo, 1);
+        const cluster::LinkProfile link = ones::testing::ref_link_profile(topo, gpus);
+        EXPECT_EQ(model::throughput_sps(profile, placed),
+                  ones::testing::ref_throughput_sps(profile, batches, link))
+            << profile.name << " c=" << c;
+        EXPECT_EQ(pm.job_watts(profile, a, placed),
+                  ones::testing::ref_job_watts(cfg, profile, batches, link))
+            << profile.name << " c=" << c;
+        const int total = placed.global_batch;
+        EXPECT_EQ(pm.job_watts_even(profile, total, c, link),
+                  ones::testing::ref_job_watts(cfg, profile,
+                                               ones::testing::ref_even_split(total, c), link))
+            << profile.name << " c=" << c << " B=" << total;
+      }
+    }
+  }
 }
 
 /// Integrate a right-continuous step function given as (t, value) change

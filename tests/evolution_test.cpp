@@ -497,7 +497,7 @@ TEST(Evolution, ScoreIsSrufUtilization) {
   // Eq. 8: Y_proc * c / X * (1/rho - 1); plus switch surcharge because the
   // live assignment (empty) differs... job 1 is Running in view but absent
   // from live, so no switch penalty applies (it is charged as a resume).
-  const double x = f.oracle_.estimate_placed_sps(v, cand);
+  const double x = f.oracle_.estimate_placed_sps(v, model::read_placed(cand, f.topo_, 1));
   const double expected = 40000.0 * 1.0 / x * (1.0 / 0.5 - 1.0);
   EXPECT_NEAR(evo.score(cand, ctx, rho), expected + 600.0 /*preempt: live had none*/,
               expected + 600.0);

@@ -37,9 +37,13 @@ TEST(TaskCatalog, ProfilesAreSane) {
 }
 
 TEST(Throughput, EvenSplitDistributesRemainder) {
-  EXPECT_EQ(even_split(10, 3), (std::vector<int>{4, 3, 3}));
-  EXPECT_EQ(even_split(8, 4), (std::vector<int>{2, 2, 2, 2}));
-  EXPECT_THROW(even_split(2, 3), std::logic_error);  // a worker with no sample
+  EXPECT_EQ(even_share(10, 3, 0), 4);
+  EXPECT_EQ(even_share(10, 3, 1), 3);
+  EXPECT_EQ(even_share(10, 3, 2), 3);
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(even_share(8, 4, i), 2);
+  // A worker with no sample.
+  EXPECT_THROW(step_time_even_s(profile_by_name("ResNet18"), 2, 3, nvlink()),
+               std::logic_error);
 }
 
 TEST(Throughput, SingleWorkerHasNoCommCost) {
@@ -92,8 +96,25 @@ TEST(Throughput, Fig2ElasticBatchKeepsScaling) {
 
 TEST(Throughput, RejectsEmptyAndZeroBatches) {
   const auto& p = profile_by_name("ResNet18");
-  EXPECT_THROW(step_time_s(p, {}, nvlink()), std::logic_error);
-  EXPECT_THROW(step_time_s(p, {0}, nvlink()), std::logic_error);
+  const cluster::Topology topo{cluster::TopologyConfig{}};
+  const cluster::Assignment empty(topo.total_gpus());
+  EXPECT_THROW(read_placed(empty, topo, 1), std::logic_error);
+  EXPECT_THROW(step_time_shape_s(p, 1, 0, nvlink()), std::logic_error);
+}
+
+TEST(Throughput, ReadPlacedGathersTheStepShape) {
+  const cluster::Topology topo{cluster::TopologyConfig{}};  // 4 GPUs per node
+  cluster::Assignment a(topo.total_gpus());
+  a.place(5, 1, 3);
+  a.place(1, 1, 7);
+  a.place(2, 1, 2);
+  const PlacedJob placed = read_placed(a, topo, 1);
+  EXPECT_EQ(placed.workers(), 3);
+  EXPECT_EQ(placed.global_batch, 12);
+  EXPECT_EQ(placed.largest_batch, 7);
+  EXPECT_EQ(placed.link.bandwidth_Bps, topo.config().inter_node_bw_Bps);
+  a.place(5, 2, 3);  // job 1 now sits on node 0 only
+  EXPECT_EQ(read_placed(a, topo, 1).link.bandwidth_Bps, topo.config().intra_node_bw_Bps);
 }
 
 ConvergenceConfig quiet_config() {

@@ -7,6 +7,8 @@
 //   * the vector-based throughput math: a per-worker batch vector, an
 //     `even_split` vector for even estimates, and a link profile decided by
 //     counting distinct nodes in a hash set;
+//   * the per-worker power formula, which re-derives the step time from the
+//     whole batch vector for every worker;
 //   * a throughput oracle that copies the job's GPU list and batch vector on
 //     every call;
 //   * an `Evolution` that copies every derived view it reads, and builds
@@ -85,6 +87,32 @@ inline double ref_throughput_even_sps(const model::TaskProfile& profile, int glo
                                       int workers, const cluster::LinkProfile& link) {
   return static_cast<double>(global_batch) /
          ref_step_time_s(profile, ref_even_split(global_batch, workers), link);
+}
+
+/// Watts of worker `index` of a job running `local_batches` over `link`.
+inline double ref_worker_watts(const energy::PowerConfig& cfg,
+                               const model::TaskProfile& profile,
+                               const std::vector<int>& local_batches, std::size_t index,
+                               const cluster::LinkProfile& link) {
+  ONES_EXPECT(index < local_batches.size());
+  const double step = ref_step_time_s(profile, local_batches, link);
+  const int b = std::max(local_batches[index], profile.min_util_batch);
+  const double compute =
+      profile.t_step_fixed_s + static_cast<double>(b) * profile.t_sample_s;
+  const double u = std::min(compute / step, 1.0);
+  const double active = u + cfg.comm_power_fraction * (1.0 - u);
+  return cfg.gpu_idle_w + (cfg.gpu_busy_w - cfg.gpu_idle_w) * active;
+}
+
+/// Sum of ref_worker_watts over all workers, in vector order.
+inline double ref_job_watts(const energy::PowerConfig& cfg, const model::TaskProfile& profile,
+                            const std::vector<int>& local_batches,
+                            const cluster::LinkProfile& link) {
+  double watts = 0.0;
+  for (std::size_t i = 0; i < local_batches.size(); ++i) {
+    watts += ref_worker_watts(cfg, profile, local_batches, i, link);
+  }
+  return watts;
 }
 
 inline cluster::LinkProfile ref_link_profile(const cluster::Topology& topology,
@@ -293,8 +321,9 @@ class ReferenceEvolution {
         std::vector<int> batches;
         batches.reserve(gpus.size());
         for (GpuId g : gpus) batches.push_back(candidate.slot(g).local_batch);
-        const double watts = ctx.state->power->job_watts(
-            *v.profile, batches, ref_link_profile(*ctx.state->topology, gpus));
+        const double watts =
+            ref_job_watts(ctx.state->power->config(), *v.profile, batches,
+                          ref_link_profile(*ctx.state->topology, gpus));
         total += config_.lambda_energy * (rem / x) * watts /
                  ctx.state->power->config().gpu_busy_w;
       }

@@ -64,8 +64,8 @@ TEST(Oracle, PlacedEstimateUsesActualLink) {
   colocated.place(1, 1, 128);
   spread.place(0, 1, 128);
   spread.place(4, 1, 128);  // second node
-  EXPECT_GT(oracle.estimate_placed_sps(v, colocated),
-            oracle.estimate_placed_sps(v, spread));
+  EXPECT_GT(oracle.estimate_placed_sps(v, model::read_placed(colocated, topo, 1)),
+            oracle.estimate_placed_sps(v, model::read_placed(spread, topo, 1)));
 }
 
 TEST(Oracle, NoiseIsDeterministicPerConfiguration) {
@@ -117,7 +117,8 @@ TEST(Oracle, EstimatesAreBitIdenticalToTheVectorFormula) {
           const int unit = std::min(profile.b_ref, profile.max_local_batch) / 2 + 1;
           // Even splits with and without a remainder, and a lopsided split.
           std::vector<std::vector<int>> splits = {
-              model::even_split(unit * c, c), model::even_split(unit * c + c / 2, c),
+              ones::testing::ref_even_split(unit * c, c),
+              ones::testing::ref_even_split(unit * c + c / 2, c),
               std::vector<int>(static_cast<std::size_t>(c), 1)};
           splits[2][0] = 3 * unit;
           for (const auto& batches : splits) {
@@ -125,11 +126,12 @@ TEST(Oracle, EstimatesAreBitIdenticalToTheVectorFormula) {
             for (std::size_t i = 0; i < gpus.size(); ++i) {
               a.place(gpus[i], v.spec.id, batches[i]);
             }
-            EXPECT_EQ(oracle.estimate_placed_sps(v, a), ref.estimate_placed_sps(v, a))
+            const model::PlacedJob placed = model::read_placed(a, topo, v.spec.id);
+            EXPECT_EQ(oracle.estimate_placed_sps(v, placed), ref.estimate_placed_sps(v, a))
                 << profile.name << " c=" << c;
-            const cluster::LinkProfile link = topo.link_profile(gpus);
-            EXPECT_EQ(model::step_time_s(profile, batches, link),
-                      ones::testing::ref_step_time_s(profile, batches, link));
+            EXPECT_EQ(model::step_time_s(profile, placed),
+                      ones::testing::ref_step_time_s(profile, batches,
+                                                     ones::testing::ref_link_profile(topo, gpus)));
             const int b = a.global_batch(v.spec.id);
             for (const bool colocated : {true, false}) {
               EXPECT_EQ(oracle.estimate_sps(v, c, b, colocated),

@@ -281,11 +281,5 @@ TEST(Descriptive, EcdfMonotoneAndBounded) {
   EXPECT_DOUBLE_EQ(e.at(100.0), 1.0);
 }
 
-TEST(Descriptive, FormatBoxMentionsCounts) {
-  const auto b = box_stats({1.0, 2.0, 3.0});
-  const auto s = format_box(b);
-  EXPECT_NE(s.find("n=3"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace ones::stats
