@@ -161,21 +161,61 @@ void BM_JobLookup(benchmark::State& bench_state) {
 }
 BENCHMARK(BM_JobLookup)->Arg(8)->Arg(64)->Arg(512)->Unit(benchmark::kNanosecond);
 
-/// Building a genome from a slot array (crossover children, reorder). The
-/// timed loop includes the copy of the slot array that from_slots consumes.
-void BM_FromSlots(benchmark::State& bench_state) {
-  const auto a = packed_schedule(static_cast<int>(bench_state.range(0)),
-                                 static_cast<int>(bench_state.range(1)));
+/// The slot array of `a`.
+std::vector<cluster::Slot> slots_of(const cluster::Assignment& a) {
   std::vector<cluster::Slot> slots;
   for (GpuId g = 0; g < a.num_gpus(); ++g) slots.push_back(a.slot(g));
+  return slots;
+}
+
+/// A crossover child's slot array: each GPU's gene from one of two packed
+/// parents that place the same jobs in opposite orders, by a fair coin per
+/// GPU (Evolution::crossover), so most runs of one job are short.
+std::vector<cluster::Slot> crossover_slots(int gpus, int jobs) {
+  const auto a = packed_schedule(gpus, jobs);
+  auto b = slots_of(a);
+  for (cluster::Slot& s : b) {
+    if (s.occupied()) s.job = jobs - 1 - s.job;
+  }
+  Rng rng(7);
+  auto child = slots_of(a);
+  for (std::size_t g = 0; g < child.size(); ++g) {
+    if (rng.bernoulli(0.5)) child[g] = b[g];
+  }
+  return child;
+}
+
+/// Building a genome from a slot array. The timed loop includes the copy of
+/// the slot array that from_slots consumes.
+void time_from_slots(benchmark::State& bench_state, const std::vector<cluster::Slot>& slots) {
+  std::size_t jobs = 0;
   for (auto _ : bench_state) {
     auto built = cluster::Assignment::from_slots(slots);
+    jobs = built.running_jobs().size();
     benchmark::DoNotOptimize(built);
   }
-  bench_state.SetLabel(std::to_string(bench_state.range(0)) + " GPUs, " +
-                       std::to_string(a.running_jobs().size()) + " jobs");
+  bench_state.SetLabel(std::to_string(slots.size()) + " GPUs, " + std::to_string(jobs) +
+                       " jobs");
+}
+
+/// A packed slot array, as reorder builds. Args: GPUs and placed jobs.
+void BM_FromSlots(benchmark::State& bench_state) {
+  time_from_slots(bench_state, slots_of(packed_schedule(static_cast<int>(bench_state.range(0)),
+                                                        static_cast<int>(bench_state.range(1)))));
 }
 BENCHMARK(BM_FromSlots)
+    ->Args({32, 24})
+    ->Args({128, 96})
+    ->Args({2000, 450})
+    ->Unit(benchmark::kMicrosecond);
+
+/// An interleaved slot array, as crossover builds (most from_slots calls of
+/// a ONES step). Args: GPUs and placed jobs.
+void BM_FromSlotsCrossover(benchmark::State& bench_state) {
+  time_from_slots(bench_state, crossover_slots(static_cast<int>(bench_state.range(0)),
+                                               static_cast<int>(bench_state.range(1))));
+}
+BENCHMARK(BM_FromSlotsCrossover)
     ->Args({32, 24})
     ->Args({128, 96})
     ->Args({2000, 450})
@@ -257,9 +297,9 @@ void BM_SrufScore(benchmark::State& bench_state) {
   core::Evolution evo(core::EvolutionConfig{});
   cluster::Assignment cand(w.topo.total_gpus());
   evo.refresh(cand, ctx);
-  const core::RhoMap rho = evo.mean_rho(ctx);
+  const auto remaining = core::Evolution::remaining_by_job(ctx, evo.mean_rho(ctx));
   for (auto _ : bench_state) {
-    benchmark::DoNotOptimize(evo.score(cand, ctx, rho));
+    benchmark::DoNotOptimize(evo.score_remaining(cand, ctx, remaining));
   }
 }
 BENCHMARK(BM_SrufScore)->Unit(benchmark::kMicrosecond);

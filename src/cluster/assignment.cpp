@@ -36,6 +36,10 @@ constexpr int kLastList = std::numeric_limits<int>::max();
 /// Smallest non-empty index: 8 buckets.
 constexpr int kMinIndexBits = 3;
 
+/// from_slots' run list, reused so that it does not allocate once warm.
+/// One per thread: genomes are built on every thread of a grid.
+thread_local std::vector<int> scratch_runs;
+
 /// log2 of the bucket count the index gets when rebuilt for `jobs` entries:
 /// the smallest power of two holding two buckets per entry (none for none).
 int index_bits_for(std::size_t jobs) {
@@ -73,18 +77,23 @@ std::size_t Assignment::home(JobId job) const {
                                   (64 - index_bits_));
 }
 
-const Assignment::JobStat* Assignment::find_stat(JobId job) const {
-  if (index_bits_ == 0) return nullptr;
+std::size_t Assignment::probe(JobId job) const {
   const std::size_t mask = bucket_count() - 1;
   const int* const table = buf_.data() + lists_end();
   // Linear probing; at most half the buckets are used, so an empty one
   // always ends the probe.
-  for (std::size_t b = home(job);; b = (b + 1) & mask) {
-    const int pos = table[b];
-    if (pos == kEmptyBucket) return nullptr;
-    const JobStat& stat = jobs_[static_cast<std::size_t>(pos)];
-    if (stat.job == job) return &stat;
+  std::size_t b = home(job);
+  for (int pos = table[b]; pos != kEmptyBucket && jobs_[static_cast<std::size_t>(pos)].job != job;
+       pos = table[b]) {
+    b = (b + 1) & mask;
   }
+  return b;
+}
+
+const Assignment::JobStat* Assignment::find_stat(JobId job) const {
+  if (index_bits_ == 0) return nullptr;
+  const int pos = buf_[static_cast<std::size_t>(lists_end()) + probe(job)];
+  return pos == kEmptyBucket ? nullptr : &jobs_[static_cast<std::size_t>(pos)];
 }
 
 Assignment::JobStat* Assignment::find_stat(JobId job) {
@@ -162,8 +171,31 @@ void Assignment::shift_lists(int first, int last, int delta) {
   }
 }
 
+std::size_t Assignment::order_bound(std::size_t first, std::size_t last, GpuId gpu) const {
+  const auto begin = order_.begin();
+  return static_cast<std::size_t>(
+      std::lower_bound(begin + static_cast<std::ptrdiff_t>(first),
+                       begin + static_cast<std::ptrdiff_t>(last), gpu,
+                       [&](JobId j, GpuId g) {
+                         return buf_[static_cast<std::size_t>(find_stat(j)->begin)] < g;
+                       }) -
+      begin);
+}
+
 void Assignment::attach(JobId job, GpuId gpu, int local_batch) {
+  // The order first, while every front is still the one order_ is sorted by
+  // (a GPU moving between lists changes no other job's front).
   JobStat* found = find_stat(job);
+  const auto order = order_.begin();
+  if (found == nullptr) {
+    order_.insert(order + static_cast<std::ptrdiff_t>(order_bound(0, order_.size(), gpu)), job);
+  } else if (const GpuId old = buf_[static_cast<std::size_t>(found->begin)]; gpu < old) {
+    // A new front: the job moves ahead of the jobs it now starts before.
+    const std::size_t at = order_bound(0, order_.size(), old);
+    const std::size_t to = order_bound(0, at, gpu);
+    std::rotate(order + static_cast<std::ptrdiff_t>(to), order + static_cast<std::ptrdiff_t>(at),
+                order + static_cast<std::ptrdiff_t>(at + 1));
+  }
   JobStat& stat = found != nullptr ? *found : add_stat(job);
   const auto idle_end = buf_.begin() + idle_count_;
   const auto from = std::lower_bound(buf_.begin(), idle_end, gpu);
@@ -178,7 +210,6 @@ void Assignment::attach(JobId job, GpuId gpu, int local_batch) {
   shift_lists(0, stat.begin, -1);
   ++stat.count;
   stat.global_batch += local_batch;
-  order_valid_ = false;
 }
 
 void Assignment::detach(JobId job, GpuId gpu, int local_batch) {
@@ -188,6 +219,19 @@ void Assignment::detach(JobId job, GpuId gpu, int local_batch) {
   const auto block = buf_.begin() + stat.begin;
   const auto from = std::lower_bound(block, block + stat.count, gpu);
   ONES_EXPECT_MSG(from != block + stat.count && *from == gpu, "index entry missing");
+  if (gpu == *block) {
+    // The front leaves: the job leaves the order, or moves back behind the
+    // jobs that start before its next GPU.
+    const auto at = order_.begin() +
+                    static_cast<std::ptrdiff_t>(order_bound(0, order_.size(), gpu));
+    if (stat.count == 1) {
+      order_.erase(at);
+    } else {
+      const std::size_t to = order_bound(static_cast<std::size_t>(at - order_.begin()) + 1,
+                                         order_.size(), block[1]);
+      std::rotate(at, at + 1, order_.begin() + static_cast<std::ptrdiff_t>(to));
+    }
+  }
   if (slots_[static_cast<std::size_t>(gpu)].healthy()) {
     // Back to its sorted place in the idle prefix; everything between moves
     // up one, so the lists up to this job's start one later.
@@ -204,7 +248,6 @@ void Assignment::detach(JobId job, GpuId gpu, int local_batch) {
   --stat.count;
   stat.global_batch -= local_batch;
   if (stat.count == 0) drop_stat(static_cast<std::size_t>(found - jobs_.data()));
-  order_valid_ = false;
 }
 
 void Assignment::place(GpuId gpu, JobId job, int local_batch) {
@@ -213,6 +256,7 @@ void Assignment::place(GpuId gpu, JobId job, int local_batch) {
   ONES_EXPECT_MSG(local_batch >= 1, "a worker needs at least one sample per step");
   Slot& s = slots_[static_cast<std::size_t>(gpu)];
   ONES_EXPECT_MSG(s.healthy(), "cannot place a worker on a down GPU");
+  if (s.job == job && s.local_batch == local_batch) return;  // nothing moves
   if (s.occupied()) {
     if (s.job == job) {
       // Same job, possibly a new batch: only the batch sum moves.
@@ -238,6 +282,8 @@ int Assignment::evict(JobId job) {
   const JobStat* found = find_stat(job);
   if (found == nullptr) return 0;
   const JobStat stat = *found;
+  order_.erase(order_.begin() + static_cast<std::ptrdiff_t>(order_bound(
+                                   0, order_.size(), buf_[static_cast<std::size_t>(stat.begin)])));
   // Rotate the job's list to just after the idle prefix, free its slots,
   // drop its down GPUs and merge the rest (both halves ascending) into the
   // idle prefix.
@@ -266,7 +312,6 @@ int Assignment::evict(JobId job) {
     }
   }
   drop_stat(static_cast<std::size_t>(found - jobs_.data()));
-  order_valid_ = false;
   return stat.count;
 }
 
@@ -347,41 +392,44 @@ Assignment Assignment::from_slots(std::vector<Slot> slots) {
   out.down_.reserve(down);
   out.jobs_.reserve(runs);
   out.order_.reserve(runs);
-  // The runs bound the jobs, so an index sized for them never grows during
-  // the scan. It is the whole of buf_ for now; the GPU lists go in ahead of
-  // it later, so reserve for both at once.
+  // Every healthy GPU is idle or a worker's, so the lists end at G - down
+  // and the index goes in after them once, sized for the runs: it never
+  // grows during the scan.
   out.index_bits_ = static_cast<std::uint8_t>(index_bits_for(runs));
-  out.buf_.reserve(out.slots_.size() - down + out.bucket_count());
-  out.buf_.assign(out.bucket_count(), kEmptyBucket);
+  const std::size_t lists_end = out.slots_.size() - down;
+  out.buf_.assign(lists_end + out.bucket_count(), kEmptyBucket);
+  // Each run's stat, so that the fill below probes no more.
+  std::vector<int>& run_stat = scratch_runs;
+  run_stat.clear();
   JobStat* stat = nullptr;  // the previous slot's job: genomes keep workers adjacent
   for (int g = 0; g < out.num_gpus(); ++g) {
     const Slot& s = out.slots_[static_cast<std::size_t>(g)];
     if (!s.healthy()) out.down_.push_back(g);
     if (!s.occupied()) continue;
-    if (stat == nullptr || stat->job != s.job) stat = out.find_stat(s.job);
-    if (stat == nullptr) {
-      // First occurrence: the scan discovers jobs in running_jobs() order.
-      out.jobs_.push_back(JobStat{s.job, 0, 0, 0});
-      out.index_insert(out.jobs_.size() - 1);
-      out.order_.push_back(s.job);
-      stat = &out.jobs_.back();
+    if (stat == nullptr || stat->job != s.job) {
+      int& bucket = out.buf_[lists_end + out.probe(s.job)];
+      if (bucket == kEmptyBucket) {
+        // First occurrence: the scan discovers jobs in running_jobs() order.
+        bucket = static_cast<int>(out.jobs_.size());
+        out.jobs_.push_back(JobStat{s.job, 0, 0, 0});
+        out.order_.push_back(s.job);
+      }
+      run_stat.push_back(bucket);
+      stat = &out.jobs_[static_cast<std::size_t>(bucket)];
     }
     stat->global_batch += s.local_batch;
     ++stat->count;
   }
-  // Then fill: each job's list starts where the previous one ends, and the
-  // index follows the lists, with the buckets the jobs found need.
+  // Then fill: each job's list starts where the previous one ends.
   int begin = idle;
   for (JobStat& st : out.jobs_) {
     st.begin = begin;
     begin += st.count;
     st.count = 0;
   }
-  out.index_bits_ = 0;  // buf_ holds just the lists until the rebuild
-  out.buf_.assign(static_cast<std::size_t>(begin), GpuId{0});
-  out.rebuild_index(index_bits_for(out.jobs_.size()));
   out.idle_count_ = idle;
   int next_idle = 0;
+  auto next_run = run_stat.begin();
   stat = nullptr;
   for (int g = 0; g < out.num_gpus(); ++g) {
     const Slot& s = out.slots_[static_cast<std::size_t>(g)];
@@ -389,10 +437,11 @@ Assignment Assignment::from_slots(std::vector<Slot> slots) {
       if (s.healthy()) out.buf_[static_cast<std::size_t>(next_idle++)] = g;
       continue;
     }
-    if (stat == nullptr || stat->job != s.job) stat = out.find_stat(s.job);
+    if (stat == nullptr || stat->job != s.job) {
+      stat = &out.jobs_[static_cast<std::size_t>(*next_run++)];
+    }
     out.buf_[static_cast<std::size_t>(stat->begin + stat->count++)] = g;  // g ascending
   }
-  out.order_valid_ = true;
   return out;
 }
 
@@ -429,22 +478,7 @@ std::span<const GpuId> Assignment::gpus_of(JobId job) const {
   return {buf_.data() + stat->begin, static_cast<std::size_t>(stat->count)};
 }
 
-std::span<const JobId> Assignment::running_jobs() const {
-  if (!order_valid_) {
-    // First-occurrence order over the slot array == ascending order of each
-    // job's lowest-numbered GPU (two jobs cannot share a GPU).
-    std::vector<std::pair<GpuId, JobId>> by_front;
-    by_front.reserve(jobs_.size());
-    for (const JobStat& s : jobs_) {
-      by_front.emplace_back(buf_[static_cast<std::size_t>(s.begin)], s.job);
-    }
-    std::sort(by_front.begin(), by_front.end());
-    order_.clear();
-    for (const auto& [front, job] : by_front) order_.push_back(job);
-    order_valid_ = true;
-  }
-  return order_;
-}
+std::span<const JobId> Assignment::running_jobs() const { return order_; }
 
 bool Assignment::same_placement(const Assignment& other, JobId job) const {
   const auto mine = gpus_of(job);
@@ -571,9 +605,7 @@ void Assignment::audit_indexes() const {
     expect_absent(e.job - 1);
     expect_absent(e.job + 1);
   }
-  if (order_valid_) {
-    ONES_EXPECT_MSG(order == order_, "running-job order cache diverged");
-  }
+  ONES_EXPECT_MSG(order == order_, "running-job order diverged from the slot array");
 }
 
 AssignmentDelta diff(const Assignment& prev, const Assignment& next) {

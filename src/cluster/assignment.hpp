@@ -7,10 +7,12 @@
 // Assignments directly.
 //
 // The per-GPU slot array stays the source of truth, but every derived view
-// (idle GPUs, per-job GPU lists, global batches) is answered from indexes
-// maintained incrementally by the mutators (DESIGN.md §12). The evolutionary
-// search calls idle_gpus / gpus_of / global_batch inside its per-candidate
-// loops, so O(G) rescans there are what made 10k-GPU clusters infeasible.
+// (idle GPUs, per-job GPU lists, global batches, the running-job order) is
+// answered from indexes maintained incrementally by the mutators
+// (DESIGN.md §12), so const reads never write. The evolutionary search
+// calls idle_gpus / gpus_of / global_batch / running_jobs inside its
+// per-candidate loops, so O(G) rescans there are what made 10k-GPU clusters
+// infeasible.
 // The indexes are flat vectors — no unordered containers, so iteration
 // order is deterministic by construction (tools/ones_lint R2). The idle
 // list, every job's GPU list and the job index share one buffer, so copying
@@ -113,10 +115,9 @@ class Assignment {
   /// GPUs hosting workers of the job, in ascending GPU order (empty if the
   /// job is not placed). Valid until the next mutation.
   std::span<const GpuId> gpus_of(JobId job) const;
-  /// Jobs with at least one worker, in first-occurrence order. Computed at
-  /// most once per state (the order is cached until the next mutation, so
-  /// an Assignment is not safe to read from two threads at once). Valid
-  /// until the next mutation.
+  /// Jobs with at least one worker, in first-occurrence order (ascending
+  /// lowest GPU). The mutators keep the order current, so this is O(1).
+  /// Valid until the next mutation.
   std::span<const JobId> running_jobs() const;
   /// Healthy GPUs with no worker, ascending (down GPUs are never idle:
   /// schedulers read capacity exclusively through this index, which is what
@@ -176,6 +177,9 @@ class Assignment {
   /// GPU is healthy, out of buf_ if it is down. Drops the entry when it
   /// empties.
   void detach(JobId job, GpuId gpu, int local_batch);
+  /// First position in order_[first, last) whose job's front (lowest GPU,
+  /// the key order_ is sorted by) is not below `gpu`: O(log J) probes.
+  std::size_t order_bound(std::size_t first, std::size_t last, GpuId gpu) const;
   /// Add `delta` to the `begin` of every list starting in [first, last].
   void shift_lists(int first, int last, int delta);
 
@@ -187,6 +191,9 @@ class Assignment {
   int lists_end() const { return static_cast<int>(buf_.size() - bucket_count()); }
   /// First bucket probed for `job` (Fibonacci hashing).
   std::size_t home(JobId job) const;
+  /// The bucket holding `job`'s stat, or the empty bucket its probe ends at
+  /// (the index must have buckets).
+  std::size_t probe(JobId job) const;
   /// Bucket holding jobs_ position `pos` (which must be indexed).
   std::size_t bucket_of(std::size_t pos) const;
   /// Point an empty bucket on the probe path of jobs_[pos] at `pos`.
@@ -206,14 +213,12 @@ class Assignment {
   /// One stat per placed job, in no particular order: a job that leaves
   /// is replaced by the last, so no other stat moves.
   std::vector<JobStat> jobs_;
-  /// running_jobs() cache: jobs_ ordered by lowest GPU, valid while
-  /// `order_valid_`; attach/detach/evict invalidate it.
-  mutable std::vector<JobId> order_;
-  mutable bool order_valid_ = false;
+  /// running_jobs(): the placed jobs by ascending lowest GPU, kept current
+  /// by attach, detach, evict and from_slots.
+  std::vector<JobId> order_;
   /// log2(bucket_count()); 0 = no buckets (no job placed yet, or the last
-  /// one left). It and the idle length sit in the padding after
-  /// order_valid_: sizeof(Assignment) stays 128 bytes (DESIGN.md §12.2 says
-  /// why).
+  /// one left). It and the idle length sit in the padding after the
+  /// vectors: sizeof(Assignment) stays 128 bytes (DESIGN.md §12.2 says why).
   std::uint8_t index_bits_ = 0;
   /// Length of buf_'s idle prefix.
   int idle_count_ = 0;

@@ -1,6 +1,7 @@
 #include "core/annealing.hpp"
 
 #include <cmath>
+#include <vector>
 
 namespace ones::core {
 
@@ -25,8 +26,9 @@ std::optional<cluster::Assignment> AnnealingScheduler::on_event(
   evolution_.repair(incumbent, ctx);
   evolution_.refresh(incumbent, ctx);
 
-  const RhoMap rho = evolution_.mean_rho(ctx);
-  double best_score = evolution_.score(incumbent, ctx, rho);
+  const std::vector<double> remaining =
+      Evolution::remaining_by_job(ctx, evolution_.mean_rho(ctx));
+  double best_score = evolution_.score_remaining(incumbent, ctx, remaining);
   cluster::Assignment best = incumbent;
   cluster::Assignment walker = std::move(incumbent);
   double walker_score = best_score;
@@ -36,7 +38,7 @@ std::optional<cluster::Assignment> AnnealingScheduler::on_event(
     evolution_.mutate(proposal, ctx);
     evolution_.repair(proposal, ctx);
     if (config_.operators.use_reorder) Evolution::reorder_in_place(proposal);
-    const double score = evolution_.score(proposal, ctx, rho);
+    const double score = evolution_.score_remaining(proposal, ctx, remaining);
     ++proposals_;
 
     const double delta = score - walker_score;

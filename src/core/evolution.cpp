@@ -6,6 +6,7 @@
 #include <limits>
 #include <numeric>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 
@@ -17,13 +18,33 @@
 namespace ones::core {
 
 const sched::JobView& EvolutionContext::view(JobId job) const {
-  const sched::JobView* v = state->job(job);
-  ONES_EXPECT_MSG(v != nullptr, "candidate references a job outside the state");
-  return *v;
+  const auto id = static_cast<std::size_t>(job);  // a negative id wraps out of range
+  ONES_EXPECT_MSG(id < jobs.size(), "candidate references a job outside the state");
+  JobFacts& f = jobs[id];
+  if (f.view == nullptr) {
+    f.view = state->job(job);
+    ONES_EXPECT_MSG(f.view != nullptr, "candidate references a job outside the state");
+  }
+  return *f.view;
+}
+
+const EvolutionContext::JobFacts& EvolutionContext::facts(JobId job) const {
+  const sched::JobView& v = view(job);
+  JobFacts& f = jobs[static_cast<std::size_t>(job)];
+  if (f.limit == 0) {  // an effective limit is at least 1
+    int r = limits->limit(v);
+    if (v.status == sched::JobStatus::Running && v.global_batch > 0) {
+      // Gradual-scaling rule: at most one doubling per re-configuration.
+      r = std::min(r, 2 * v.global_batch);
+    }
+    f.limit = std::max(r, 1);
+    f.warmed = limits->warmed_up(v);
+  }
+  return f;
 }
 
 double EvolutionContext::expected_remaining(const sched::JobView& job) const {
-  double& y = yrem_cache[static_cast<std::size_t>(job.spec.id)];
+  double& y = jobs[static_cast<std::size_t>(job.spec.id)].yrem;
   if (std::isnan(y)) {
     y = predictor != nullptr ? predictor->expected_remaining_samples(job)
                              : job.dataset_size();
@@ -33,21 +54,12 @@ double EvolutionContext::expected_remaining(const sched::JobView& job) const {
 
 namespace {
 
-/// Keep only the first `c` GPUs of `job`.
-void trim(cluster::Assignment& candidate, JobId job, int c) {
+/// Keep only the first `c` of the `have` GPUs of `job`.
+void trim(cluster::Assignment& candidate, JobId job, int have, int c) {
   // Clear from the highest GPU down. Each clear rewrites (or, at c == 0,
   // drops) the job's list, so it is read afresh every time.
-  for (int have = candidate.gpu_count(job); have > c; --have) {
-    candidate.clear(candidate.gpus_of(job).back());
-  }
+  for (; have > c; --have) candidate.clear(candidate.gpus_of(job).back());
 }
-
-/// One fill_idle option: resume an absent job on one GPU, or grow a running
-/// one (scale-up or spread).
-struct FillAction {
-  bool resume = false;
-  JobId job = kInvalidJob;
-};
 
 /// fill_idle's price inputs for one running job, valid while its stamp is
 /// the current call's (DESIGN.md §2). Between two draws of one call only the
@@ -80,8 +92,11 @@ struct Scratch {
   std::vector<FillPrice> prices;  ///< by JobId
   std::uint64_t stamp = 0;
   std::vector<JobId> resume;      ///< absent active jobs, active_jobs() order
-  std::vector<FillAction> actions;
+  std::vector<JobId> grow;        ///< running jobs offered a scale-up or spread
+  /// One draw's option weights: resume options, then grow options.
   std::vector<double> weights;
+  std::vector<JobId> spread;      ///< spread options, until appended to `grow`
+  std::vector<double> spread_weights;
   std::vector<JobId> running;     ///< running_copy's job order
   std::vector<JobId> finished;    ///< drop_finished's evictions
 };
@@ -107,7 +122,7 @@ void drop_finished(cluster::Assignment& candidate, const EvolutionContext& ctx) 
 
 /// The current fill_idle call's price of running job `job`, computed on
 /// first use.
-FillPrice& fill_price(const Evolution& evo, const cluster::Assignment& candidate,
+FillPrice& fill_price(const cluster::Assignment& candidate,
                       JobId job, const EvolutionContext& ctx) {
   FillPrice& p = scratch.prices[static_cast<std::size_t>(job)];
   if (p.stamp == scratch.stamp) return p;
@@ -115,10 +130,11 @@ FillPrice& fill_price(const Evolution& evo, const cluster::Assignment& candidate
   // per-event context, so it stays exact until the job itself acts.
   p = FillPrice{};
   p.stamp = scratch.stamp;
-  const auto& v = ctx.view(job);
-  p.warmed = ctx.limits->warmed_up(v);
+  const EvolutionContext::JobFacts& f = ctx.facts(job);
+  const sched::JobView& v = *f.view;
+  p.warmed = f.warmed;
   if (!p.warmed) return p;  // offers no scale-up or spread option
-  p.r_limit = evo.effective_limit(v, ctx);
+  p.r_limit = f.limit;
   const model::PlacedJob placed = model::read_placed(candidate, *ctx.state->topology, job);
   p.b = placed.global_batch;
   p.c = placed.workers();
@@ -148,7 +164,7 @@ EvolutionContext make_context(const sched::ClusterState& state,
   ctx.state = &state;
   ctx.predictor = predictor;
   ctx.limits = limits;
-  ctx.yrem_cache.assign(state.id_bound(), std::numeric_limits<double>::quiet_NaN());
+  ctx.jobs.resize(state.id_bound());
   return ctx;
 }
 
@@ -159,8 +175,8 @@ std::size_t Evolution::population_size(const EvolutionContext& ctx) const {
   return static_cast<std::size_t>(ctx.state->topology->total_gpus());
 }
 
-int Evolution::start_batch(const sched::JobView& job, const EvolutionContext& ctx) const {
-  const int r = effective_limit(job, ctx);
+int Evolution::start_batch(const sched::JobView& job, const EvolutionContext& ctx) {
+  const int r = ctx.facts(job.spec.id).limit;
   return std::max(1, std::min(r, job.profile->max_local_batch));
 }
 
@@ -174,12 +190,7 @@ double Evolution::remaining_samples(const sched::JobView& job, double rho) {
 
 int Evolution::effective_limit(const sched::JobView& job,
                                const EvolutionContext& ctx) const {
-  int r = ctx.limits->limit(job);
-  if (job.status == sched::JobStatus::Running && job.global_batch > 0) {
-    // Gradual-scaling rule: at most one doubling per re-configuration.
-    r = std::min(r, 2 * job.global_batch);
-  }
-  return std::max(r, 1);
+  return ctx.facts(job.spec.id).limit;
 }
 
 RhoMap Evolution::draw_rho(const EvolutionContext& ctx, Rng* rng) const {
@@ -195,8 +206,19 @@ RhoMap Evolution::draw_rho(const EvolutionContext& ctx, Rng* rng) const {
   return rho;
 }
 
-double Evolution::score(const cluster::Assignment& candidate, const EvolutionContext& ctx,
-                        const RhoMap& rho) const {
+std::vector<double> Evolution::remaining_by_job(const EvolutionContext& ctx,
+                                                 const RhoMap& rho) {
+  std::vector<double> remaining(ctx.state->id_bound());
+  for (const sched::JobView* v : ctx.state->jobs()) {
+    const auto id = static_cast<std::size_t>(v->spec.id);
+    remaining[id] = remaining_samples(*v, rho[id]);
+  }
+  return remaining;
+}
+
+double Evolution::score_remaining(const cluster::Assignment& candidate,
+                                  const EvolutionContext& ctx,
+                                  const std::vector<double>& remaining) const {
   // Eq. 8: sum_j  Y_processed_j * c_j / X_j * (1/rho_j - 1)
   //       = sum_j  Y_remaining_j * c_j / X_j  =  sum_j  T_j * c_j  (SRUF).
   double total = 0.0;
@@ -207,7 +229,7 @@ double Evolution::score(const cluster::Assignment& candidate, const EvolutionCon
     const auto& v = ctx.view(j);
     const model::PlacedJob placed = model::read_placed(candidate, *ctx.state->topology, j);
     const double x = ctx.state->oracle->estimate_placed_sps(v, placed);
-    const double rem = remaining_samples(v, rho[static_cast<std::size_t>(j)]);
+    const double rem = remaining[static_cast<std::size_t>(j)];
     total += rem * static_cast<double>(placed.workers()) / x;
     if (energy_aware) {
       // Predicted joules to finish under this placement, in TDP-GPU-second
@@ -238,18 +260,22 @@ double Evolution::score(const cluster::Assignment& candidate, const EvolutionCon
 
 void Evolution::clamp_job(cluster::Assignment& candidate, JobId job,
                           const EvolutionContext& ctx) {
-  const int c = candidate.gpu_count(job);
+  std::span<const GpuId> gpus = candidate.gpus_of(job);
+  const int c = static_cast<int>(gpus.size());
   if (c == 0) return;
-  const auto& v = ctx.view(job);
-  const int r_limit = effective_limit(v, ctx);
+  const EvolutionContext::JobFacts& f = ctx.facts(job);
 
   // Start policy: one GPU until warmed up; every worker needs a sample.
-  const int target_c = std::max(1, std::min(ctx.limits->warmed_up(v) ? c : 1, r_limit));
-  trim(candidate, job, target_c);
+  const int target_c = std::max(1, std::min(f.warmed ? c : 1, f.limit));
+  if (target_c < c) {
+    trim(candidate, job, c, target_c);
+    gpus = candidate.gpus_of(job);
+  }
 
-  const int max_b = std::min(r_limit, target_c * v.profile->max_local_batch);
+  const int max_b = std::min(f.limit, target_c * f.view->profile->max_local_batch);
   // Even re-split (repairs crossover children with lopsided inherited genes).
-  sched::place_job_even(candidate, job, candidate.gpus_of(job),
+  // Placing a job on its own GPUs leaves its list, so `gpus` stays valid.
+  sched::place_job_even(candidate, job, gpus,
                         std::clamp(candidate.global_batch(job), target_c, max_b));
 }
 
@@ -267,11 +293,16 @@ void Evolution::fill_idle(cluster::Assignment& candidate, const EvolutionContext
   if (scratch.prices.size() < ctx.state->id_bound()) scratch.prices.resize(ctx.state->id_bound());
   const sched::ThroughputOracle& oracle = *ctx.state->oracle;
 
-  // Resume options: active jobs absent from this candidate start on one GPU.
-  // Draws never evict a job, so the list only loses the jobs it resumes.
+  // Resume options: active jobs absent from this candidate start on one GPU,
+  // weighted by their expected remaining work. Draws never evict a job, so
+  // the list only loses the jobs it resumes, and its weights stay the
+  // prefix of every draw's weights.
   scratch.resume.clear();
+  scratch.weights.clear();
   for (const sched::JobView* v : ctx.state->active_jobs()) {
-    if (candidate.gpu_count(v->spec.id) == 0) scratch.resume.push_back(v->spec.id);
+    if (candidate.gpu_count(v->spec.id) > 0) continue;
+    scratch.resume.push_back(v->spec.id);
+    scratch.weights.push_back(std::max(ctx.expected_remaining(*v), 1.0));
   }
 
   // Each iteration places workers on the lowest idle GPUs, so
@@ -280,69 +311,66 @@ void Evolution::fill_idle(cluster::Assignment& candidate, const EvolutionContext
   for (;;) {
     const int idle = candidate.idle_count();
     if (idle == 0) return;
-    scratch.actions.clear();
-    scratch.weights.clear();
+    scratch.grow.clear();
+    scratch.weights.resize(scratch.resume.size());
 
-    for (const JobId j : scratch.resume) {
-      scratch.actions.push_back({true, j});
-      scratch.weights.push_back(std::max(ctx.expected_remaining(ctx.view(j)), 1.0));
-    }
-
-    // Scale-up options: running jobs whose limit R still allows more batch,
-    // gaining floor(R*c/B) - c more GPUs (Figure 7's utilization-gain
-    // sampling).
-    const auto running = candidate.running_jobs();  // no mutation until the draw
-    for (const JobId j : running) {
-      FillPrice& p = fill_price(*this, candidate, j, ctx);
-      if (!p.warmed || p.b >= p.r_limit) continue;
+    // Grow options for each running job, in one pass over its price: the
+    // scale-up options come first and the spread options after them, each
+    // in running_jobs() order.
+    // - Scale-up: a job whose limit R still allows more batch gains
+    //   floor(R*c/B) - c more GPUs (Figure 7's utilization-gain sampling).
+    // - Spread: when batch limits bind, idle GPUs can still speed a job up
+    //   by spreading its (fixed) batch over more workers. Idle GPUs have no
+    //   opportunity cost, and Eq. 4 wants the cluster saturated.
+    scratch.spread.clear();
+    scratch.spread_weights.clear();
+    for (const JobId j : candidate.running_jobs()) {  // no mutation until the draw
+      FillPrice& p = fill_price(candidate, j, ctx);
+      if (!p.warmed) continue;  // offers neither option
       const int local = std::max(1, p.b / p.c);
-      const int target_c = std::min(static_cast<int>(p.r_limit / local), p.c + idle);
-      if (target_c <= p.c) continue;
-      const int b2 = std::min(p.r_limit, local * target_c);
-      if (p.up_c != target_c || p.up_b != b2) {
-        p.up_c = target_c;
-        p.up_b = b2;
-        p.up_x2 = oracle.estimate_sps(ctx.view(j), target_c, b2,
-                                      oracle.can_colocate(target_c));
+      const int up_c = std::min(static_cast<int>(p.r_limit / local), p.c + idle);
+      if (p.b < p.r_limit && up_c > p.c) {
+        const int b2 = std::min(p.r_limit, local * up_c);
+        if (p.up_c != up_c || p.up_b != b2) {
+          p.up_c = up_c;
+          p.up_b = b2;
+          p.up_x2 = oracle.estimate_sps(ctx.view(j), up_c, b2, oracle.can_colocate(up_c));
+        }
+        const double gain = p.y * (static_cast<double>(p.c) / p.x1 -
+                                   static_cast<double>(up_c) / p.up_x2);
+        scratch.grow.push_back(j);
+        scratch.weights.push_back(std::max(gain, 1e-6));
       }
-      const double gain = p.y * (static_cast<double>(p.c) / p.x1 -
-                                 static_cast<double>(target_c) / p.up_x2);
-      scratch.actions.push_back({false, j});
-      scratch.weights.push_back(std::max(gain, 1e-6));
-    }
-
-    // Spread options: when batch limits bind, idle GPUs can still speed a
-    // job up by spreading its (fixed) batch over more workers — idle GPUs
-    // have no opportunity cost, and Eq. 4 wants the cluster saturated.
-    for (const JobId j : running) {
-      FillPrice& p = fill_price(*this, candidate, j, ctx);
-      if (!p.warmed) continue;
-      const int target_c = std::min({2 * p.c, p.b, p.c + idle});
-      if (target_c <= p.c) continue;
-      if (p.spread_c != target_c) {
-        p.spread_c = target_c;
-        p.spread_x2 = oracle.estimate_sps(ctx.view(j), target_c, p.b,
-                                          oracle.can_colocate(target_c));
+      const int spread_c = std::min({2 * p.c, p.b, p.c + idle});
+      if (spread_c <= p.c) continue;
+      if (p.spread_c != spread_c) {
+        p.spread_c = spread_c;
+        p.spread_x2 = oracle.estimate_sps(ctx.view(j), spread_c, p.b,
+                                          oracle.can_colocate(spread_c));
       }
       if (p.spread_x2 <= p.x1 * 1.02) continue;  // not worth the extra workers
       const double gain = p.y * (1.0 / p.x1 - 1.0 / p.spread_x2);
-      scratch.actions.push_back({false, j});
-      scratch.weights.push_back(std::max(gain, 1e-6));
+      scratch.spread.push_back(j);
+      scratch.spread_weights.push_back(std::max(gain, 1e-6));
     }
+    scratch.grow.insert(scratch.grow.end(), scratch.spread.begin(), scratch.spread.end());
+    scratch.weights.insert(scratch.weights.end(), scratch.spread_weights.begin(),
+                           scratch.spread_weights.end());
 
-    if (scratch.actions.empty()) return;  // nothing can use the idle GPUs
+    if (scratch.weights.empty()) return;  // nothing can use the idle GPUs
     const std::size_t pick = rng_.weighted_index(scratch.weights);
-    const FillAction act = scratch.actions[pick];
-    const auto& v = ctx.view(act.job);
+    const bool resume = pick < scratch.resume.size();
+    const JobId job = resume ? scratch.resume[pick] : scratch.grow[pick - scratch.resume.size()];
+    const EvolutionContext::JobFacts& f = ctx.facts(job);
 
-    if (act.resume) {
-      candidate.place(candidate.idle_gpus().front(), act.job, start_batch(v, ctx));
-      // Resume options come first, in scratch.resume order.
+    if (resume) {
+      candidate.place(candidate.idle_gpus().front(), job, start_batch(*f.view, ctx));
       scratch.resume.erase(scratch.resume.begin() + static_cast<std::ptrdiff_t>(pick));
+      scratch.weights.erase(scratch.weights.begin() + static_cast<std::ptrdiff_t>(pick));
     } else {
-      const int r_limit = effective_limit(v, ctx);
-      const int b = candidate.global_batch(act.job);
-      const int c = candidate.gpu_count(act.job);
+      const int r_limit = f.limit;
+      const int b = candidate.global_batch(job);
+      const int c = candidate.gpu_count(job);
       const int local = std::max(1, b / c);
       // Grow the worker set: up to the batch-limit headroom (grow-batch
       // action) or up to 2x workers at the same batch (spread action) —
@@ -352,20 +380,20 @@ void Evolution::fill_idle(cluster::Assignment& candidate, const EvolutionContext
       // Every priced grow option targets more than c GPUs, and grow_c is at
       // least either option's target, so a stale price is the only way here.
       ONES_EXPECT_MSG(target_c > c, "fill_idle drew a grow option for job " +
-                                        std::to_string(act.job) +
+                                        std::to_string(job) +
                                         " that adds no GPU (stale price?)");
       for (int k = 0; k < target_c - c; ++k) {
-        candidate.place(candidate.idle_gpus().front(), act.job, 1);
+        candidate.place(candidate.idle_gpus().front(), job, 1);
       }
       // Raise the batch toward the limit with the new worker count, then
       // re-split evenly (clamp_job also enforces memory limits).
-      sched::place_job_even(candidate, act.job, candidate.gpus_of(act.job),
+      sched::place_job_even(candidate, job, candidate.gpus_of(job),
                             std::clamp(std::min(r_limit, local * target_c), target_c,
-                                       target_c * v.profile->max_local_batch));
-      clamp_job(candidate, act.job, ctx);
+                                       target_c * f.view->profile->max_local_batch));
+      clamp_job(candidate, job, ctx);
     }
     // The actor's worker set changed: re-price it on its next use.
-    scratch.prices[static_cast<std::size_t>(act.job)].stamp = 0;
+    scratch.prices[static_cast<std::size_t>(job)].stamp = 0;
   }
 }
 
@@ -376,14 +404,13 @@ void Evolution::refresh(cluster::Assignment& candidate, const EvolutionContext& 
   // (2) Scale down any job whose batch exceeds its current limit R:
   //     drop to floor(R*c/B) GPUs and batch R (paper's rule), then clamp.
   for (JobId j : running_copy(candidate)) {
-    const auto& v = ctx.view(j);
-    const int r_limit = effective_limit(v, ctx);
+    const int r_limit = ctx.facts(j).limit;
     const int b = candidate.global_batch(j);
     if (r_limit < b) {
       const int c = candidate.gpu_count(j);
       const int target_c =
           std::max(1, static_cast<int>(static_cast<std::int64_t>(r_limit) * c / b));
-      trim(candidate, j, target_c);
+      trim(candidate, j, c, target_c);
       sched::place_job_even(candidate, j, candidate.gpus_of(j),
                             target_c * (std::max(r_limit, target_c) / target_c));
     }
@@ -415,7 +442,7 @@ void Evolution::refresh(cluster::Assignment& candidate, const EvolutionContext& 
     }
     if (victim == kInvalidJob) break;
     const int c = candidate.gpu_count(victim);
-    trim(candidate, victim, c - 1);
+    trim(candidate, victim, c, c - 1);
     if (c > 1) clamp_job(candidate, victim, ctx);
   }
   for (const sched::JobView* v : fresh) {
@@ -433,6 +460,14 @@ std::pair<cluster::Assignment, cluster::Assignment> Evolution::crossover(
   // Children inherit `a`'s health map; the parents never occupy a down GPU,
   // so neither inherited gene can land on one (from_slots checks).
   const auto n = static_cast<std::size_t>(a.num_gpus());
+  if (a == b) {
+    // Identical parents (half of all pairs once the population converges)
+    // breed two copies of themselves whatever the coins say. The coins are
+    // still tossed, so the random stream is the one a gene-by-gene build
+    // would leave.
+    for (std::size_t g = 0; g < n; ++g) rng_.bernoulli(0.5);
+    return {a, a};
+  }
   std::vector<cluster::Slot> s1(n), s2(n);
   for (std::size_t g = 0; g < n; ++g) {
     const auto& sa = a.slot(static_cast<GpuId>(g));
@@ -605,7 +640,7 @@ void Evolution::step(const EvolutionContext& ctx) {
   // Selection: score every candidate under one rho draw (Algorithm 1) and
   // keep the best K.
   const prof::Scope select_span(profiler_, "evolve.select");
-  const RhoMap rho = sample_rho(ctx);
+  const std::vector<double> remaining = remaining_by_job(ctx, sample_rho(ctx));
   // A score is a pure function of (slots, ctx, rho), and about half the
   // candidates repeat an earlier one's slots (a quarter equal the
   // incumbent; ROADMAP.md). Group candidates by a hash of their slots and
@@ -621,7 +656,8 @@ void Evolution::step(const EvolutionContext& ctx) {
       const std::size_t c = keyed[i].second;
       std::size_t twin = first;
       while (twin < i && !(cands[keyed[twin].second] == cands[c])) ++twin;
-      scores[c] = twin < i ? scores[keyed[twin].second] : score(cands[c], ctx, rho);
+      scores[c] = twin < i ? scores[keyed[twin].second]
+                           : score_remaining(cands[c], ctx, remaining);
     }
   }
   std::vector<std::size_t> order(cands.size());
@@ -652,11 +688,11 @@ cluster::Assignment Evolution::best(const EvolutionContext& ctx) {
     cand.sync_health(*ctx.state->current);
     refresh(cand, ctx);
   }
-  const RhoMap rho = mean_rho(ctx);
+  const std::vector<double> remaining = remaining_by_job(ctx, mean_rho(ctx));
   std::size_t best_i = 0;
   double best_s = std::numeric_limits<double>::infinity();
   for (std::size_t i = 0; i < population_.size(); ++i) {
-    const double s = score(population_[i], ctx, rho);
+    const double s = score_remaining(population_[i], ctx, remaining);
     if (s < best_s) {
       best_s = s;
       best_i = i;

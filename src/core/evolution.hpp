@@ -17,6 +17,7 @@
 //      K survive.
 #pragma once
 
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -58,23 +59,37 @@ struct EvolutionConfig {
   std::uint64_t seed = 99;
 };
 
-/// Per-event context: live cluster state plus ONES's predictor and limits.
+/// Per-event context: live cluster state plus ONES's predictor and limits,
+/// and what the search has read about each job during the event.
 struct EvolutionContext {
   const sched::ClusterState* state = nullptr;
   /// nullptr = predictor ablation (constant rho = 1/2).
   const predict::ProgressPredictor* predictor = nullptr;
   const BatchLimitManager* limits = nullptr;
-  /// Lazily-filled expected remaining workloads by JobId, NaN until computed
-  /// (the predictor's Beta math is too costly to repeat per fill-loop step).
-  mutable std::vector<double> yrem_cache;
+
+  /// What the search reads about one job. None of it depends on the
+  /// candidate, so each part is computed on first use and then read by
+  /// every candidate of the event (DESIGN.md §12.2).
+  struct JobFacts {
+    const sched::JobView* view = nullptr;  ///< null until first read
+    int limit = 0;        ///< Evolution::effective_limit; 0 until first read
+    bool warmed = false;  ///< BatchLimitManager::warmed_up, filled with `limit`
+    /// expected_remaining; NaN until first read (the predictor's Beta math
+    /// is too costly to repeat per fill-loop step).
+    double yrem = std::numeric_limits<double>::quiet_NaN();
+  };
+  /// The facts by JobId over state->id_bound().
+  mutable std::vector<JobFacts> jobs;
 
   const sched::JobView& view(JobId job) const;
+  /// The job's facts with `view`, `limit` and `warmed` filled.
+  const JobFacts& facts(JobId job) const;
   /// Expected remaining samples of a job (predictor mean, or one dataset
-  /// pass when the predictor is ablated), cached per event.
+  /// pass when the predictor is ablated), computed once per event.
   double expected_remaining(const sched::JobView& job) const;
 };
 
-/// Bind the per-event context to a state snapshot (yrem cache all NaN).
+/// Bind the per-event context to a state snapshot (no job's facts read yet).
 EvolutionContext make_context(const sched::ClusterState& state,
                               const predict::ProgressPredictor* predictor,
                               const BatchLimitManager* limits);
@@ -125,9 +140,17 @@ class Evolution {
   /// Enforce feasibility: known jobs only, warm-up single-GPU rule, B <= R,
   /// per-GPU memory limits, even batch splits.
   void repair(cluster::Assignment& candidate, const EvolutionContext& ctx);
-  /// SRUF score (Eq. 8); lower is better.
+  /// SRUF score (Eq. 8) under one rho draw; lower is better.
   double score(const cluster::Assignment& candidate, const EvolutionContext& ctx,
-               const RhoMap& rho) const;
+               const RhoMap& rho) const {
+    return score_remaining(candidate, ctx, remaining_by_job(ctx, rho));
+  }
+  /// remaining_samples of every job in the state under `rho`, by JobId: one
+  /// draw's Y_rem, computed once for all the candidates scored under it.
+  static std::vector<double> remaining_by_job(const EvolutionContext& ctx, const RhoMap& rho);
+  /// score() with each job's Y_rem already drawn.
+  double score_remaining(const cluster::Assignment& candidate, const EvolutionContext& ctx,
+                         const std::vector<double>& remaining) const;
   /// Algorithm 1, lines 1-3: one progress draw per active job.
   RhoMap sample_rho(const EvolutionContext& ctx) { return draw_rho(ctx, &rng_); }
 
@@ -153,7 +176,7 @@ class Evolution {
   /// Scale a job in-place so that B <= limit, keeping local batches even.
   void clamp_job(cluster::Assignment& candidate, JobId job,
                  const EvolutionContext& ctx);
-  int start_batch(const sched::JobView& job, const EvolutionContext& ctx) const;
+  static int start_batch(const sched::JobView& job, const EvolutionContext& ctx);
 
   EvolutionConfig config_;
   Rng rng_;

@@ -11,7 +11,7 @@ namespace ones::predict {
 ProgressPredictor::ProgressPredictor(const PredictorConfig& config)
     : config_(config), weights_(kFeatureDim, 0.0), rng_(config.seed) {}
 
-std::vector<double> ProgressPredictor::features_of(const sched::JobView& job) {
+Features ProgressPredictor::features_of(const sched::JobView& job) {
   const double d = job.dataset_size();
   const double init_loss = std::max(job.init_loss, 1e-6);
   const double loss = job.epochs_completed > 0 ? job.train_loss : init_loss;
@@ -72,8 +72,9 @@ void ProgressPredictor::observe_completed_job(const sched::JobView& job) {
     TrainingPoint p;
     p.features = features_of(past);
     p.epochs_processed = std::max(e.samples_processed / job.dataset_size(), 1.0);
-    p.true_progress =
+    const double true_progress =
         std::clamp(e.samples_processed / total_samples, 1e-4, 1.0 - 1e-4);
+    p.log_unprogress = std::log(1.0 - true_progress);
     p.true_epochs_remaining =
         std::max(total_epochs - static_cast<double>(i + 1), 0.5);
     if (metrics_ != nullptr) {
@@ -110,15 +111,15 @@ void ProgressPredictor::fit() {
   //   sum_i log Be(rho_i; alpha_i, beta_i(w)),  beta_i = max(w . x_i, 1),
   // by gradient ascent. d logpdf / d beta = log(1-rho) - psi(beta) +
   // psi(alpha+beta); the clamp at 1 contributes zero gradient.
+  Features grad;
   for (int step = 0; step < config_.likelihood_steps; ++step) {
-    std::vector<double> grad(kFeatureDim, 0.0);
+    grad.fill(0.0);
     for (const auto& p : points_) {
       double z = 0.0;
       for (std::size_t f = 0; f < kFeatureDim; ++f) z += weights_[f] * p.features[f];
       if (z <= 1.0) continue;  // clamped: no gradient flows
       const double alpha = p.epochs_processed;
-      const double dbeta = std::log(1.0 - p.true_progress) - stats::digamma(z) +
-                           stats::digamma(alpha + z);
+      const double dbeta = p.log_unprogress - stats::digamma(z) + stats::digamma(alpha + z);
       for (std::size_t f = 0; f < kFeatureDim; ++f) grad[f] += dbeta * p.features[f];
     }
     const double scale = config_.learning_rate / static_cast<double>(n);

@@ -20,6 +20,7 @@
 //     Y_remaining = Y_processed * (1/rho - 1).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -41,12 +42,18 @@ struct PredictorConfig {
   std::uint64_t seed = 1234;
 };
 
+/// Number of predictor features (incl. bias term).
+inline constexpr std::size_t kFeatureDim = 6;
+using Features = std::array<double, kFeatureDim>;
+
 /// One training datum: features at a historical moment of a completed job
 /// plus the ground truth known in hindsight.
 struct TrainingPoint {
-  std::vector<double> features;   ///< normalized feature vector incl. bias
+  Features features{};            ///< normalized feature vector incl. bias
   double epochs_processed = 0.0;  ///< alpha at that moment
-  double true_progress = 0.0;     ///< rho in (0, 1)
+  /// log(1 - rho) of the true progress rho in (0, 1): the fit's per-point
+  /// constant, taken once at ingestion.
+  double log_unprogress = 0.0;
   double true_epochs_remaining = 0.0;
 };
 
@@ -54,11 +61,10 @@ class ProgressPredictor {
  public:
   explicit ProgressPredictor(const PredictorConfig& config = {});
 
-  /// Number of features (incl. bias term).
-  static constexpr std::size_t kFeatureDim = 6;
+  static constexpr std::size_t kFeatureDim = predict::kFeatureDim;
 
   /// Extract the normalized feature vector from a job's live status.
-  static std::vector<double> features_of(const sched::JobView& job);
+  static Features features_of(const sched::JobView& job);
 
   /// Ingest a completed job: uniformly sample points from its epoch log into
   /// the bounded training set and refit the regression.

@@ -107,13 +107,18 @@ std::optional<cluster::Assignment> repack(const ClusterState& state,
     return std::nullopt;
   }
 
-  cluster::Assignment next = cluster::Assignment::empty_like(current);
+  // The kept jobs' slots, and the health map, in one bulk build.
+  std::vector<cluster::Slot> slots(static_cast<std::size_t>(current.num_gpus()));
+  for (const GpuId g : current.unhealthy_gpus()) {
+    slots[static_cast<std::size_t>(g)].health = current.health(g);
+  }
   for (const Pick& p : picks) {
     if (!kept(p)) continue;
     for (const GpuId g : current.gpus_of(p.job->spec.id)) {
-      next.place(g, p.job->spec.id, current.slot(g).local_batch);
+      slots[static_cast<std::size_t>(g)] = current.slot(g);
     }
   }
+  cluster::Assignment next = cluster::Assignment::from_slots(std::move(slots));
   for (const Pick& p : picks) {
     if (kept(p)) continue;
     const auto gpus = pick_idle_gpus(next, *state.topology, p.workers);

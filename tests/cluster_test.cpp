@@ -2,6 +2,7 @@
 // invariants (Eq. 4 style), and schedule diffing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <stdexcept>
@@ -149,6 +150,82 @@ TEST(Assignment, RunningJobsFirstOccurrenceOrder) {
   a.place(2, 7, 8);
   a.place(3, 5, 8);
   EXPECT_EQ(as_vector(a.running_jobs()), (std::vector<JobId>{7, 3, 5}));
+}
+
+/// running_jobs() against a first-occurrence scan of the slot array, and
+/// every other index against the slots.
+void expect_order_matches_slots(const Assignment& a) {
+  std::vector<JobId> scan;
+  for (GpuId g = 0; g < a.num_gpus(); ++g) {
+    const JobId j = a.slot(g).job;
+    if (j != kInvalidJob && std::find(scan.begin(), scan.end(), j) == scan.end()) {
+      scan.push_back(j);
+    }
+  }
+  EXPECT_EQ(as_vector(a.running_jobs()), scan) << a.to_string();
+  a.audit_indexes();
+}
+
+// The mutators keep the order current. Each step below moves some job's
+// front GPU (or removes the job) in a different way.
+TEST(Assignment, RunningJobsOrderFollowsEveryFrontMove) {
+  Assignment a(10);
+  a.place(2, 5, 16);
+  a.place(3, 5, 16);
+  a.place(4, 3, 16);
+  a.place(6, 8, 16);
+  a.place(7, 8, 16);
+  EXPECT_EQ(as_vector(a.running_jobs()), (std::vector<JobId>{5, 3, 8}));
+  expect_order_matches_slots(a);
+
+  a.place(1, 8, 16);  // a worker below the front: 8 moves to the head
+  EXPECT_EQ(as_vector(a.running_jobs()), (std::vector<JobId>{8, 5, 3}));
+  expect_order_matches_slots(a);
+
+  a.place(5, 3, 16);  // a worker above the front: nothing moves
+  a.place(1, 8, 32);  // a new batch on the front: nothing moves
+  EXPECT_EQ(as_vector(a.running_jobs()), (std::vector<JobId>{8, 5, 3}));
+  expect_order_matches_slots(a);
+
+  a.clear(1);  // the front cleared: 8 falls back behind 3
+  EXPECT_EQ(as_vector(a.running_jobs()), (std::vector<JobId>{5, 3, 8}));
+  expect_order_matches_slots(a);
+
+  a.place(2, 3, 16);  // a preempted front: 3 takes GPU 2 ahead of 5
+  EXPECT_EQ(as_vector(a.running_jobs()), (std::vector<JobId>{3, 5, 8}));
+  expect_order_matches_slots(a);
+
+  a.clear(3);  // the last worker of 5 cleared
+  EXPECT_EQ(as_vector(a.running_jobs()), (std::vector<JobId>{3, 8}));
+  expect_order_matches_slots(a);
+
+  a.place(0, 9, 16);
+  a.place(9, 9, 16);
+  EXPECT_EQ(a.evict(3), 3);  // evict
+  EXPECT_EQ(as_vector(a.running_jobs()), (std::vector<JobId>{9, 8}));
+  expect_order_matches_slots(a);
+
+  a.place(1, 4, 16);
+  a.place(8, 4, 16);
+  a.set_health(0, SlotHealth::Failed);  // an occupied front goes down: the worker stays
+  EXPECT_EQ(as_vector(a.running_jobs()), (std::vector<JobId>{9, 4, 8}));
+  expect_order_matches_slots(a);
+  a.clear(0);  // ... and is cleared: 9's front moves past 4 and 8
+  EXPECT_EQ(as_vector(a.running_jobs()), (std::vector<JobId>{4, 8, 9}));
+  expect_order_matches_slots(a);
+
+  // sync_health clears an occupied GPU that is down in the source.
+  Assignment source(10);
+  source.set_health(1, SlotHealth::Reclaimed);
+  a.sync_health(source);  // 4 loses its front; GPU 0 heals
+  EXPECT_EQ(a.health(0), SlotHealth::Healthy);
+  EXPECT_EQ(a.health(1), SlotHealth::Reclaimed);
+  EXPECT_EQ(as_vector(a.running_jobs()), (std::vector<JobId>{8, 4, 9}));
+  expect_order_matches_slots(a);
+
+  a.place(0, 6, 16);  // a new job on a healed GPU
+  EXPECT_EQ(as_vector(a.running_jobs()), (std::vector<JobId>{6, 8, 4, 9}));
+  expect_order_matches_slots(a);
 }
 
 TEST(Assignment, EqualityAndToString) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "predict/progress_predictor.hpp"
 
@@ -95,6 +96,27 @@ TEST(Predictor, TrainsAfterCompletions) {
   }
   EXPECT_TRUE(p.trained());
   EXPECT_GT(p.training_points(), 30u);
+}
+
+// The refit's arithmetic order is part of the contract: ONES's decisions
+// read these weights through every prediction. Recorded with %a before the
+// fit's buffers became fixed-size arrays; any drift in a low bit fails here.
+TEST(ProgressPredictor, FitWeightsArePinnedBitForBit) {
+  PredictorConfig cfg;
+  cfg.max_training_points = 96;  // 192 points offered: the reservoir replaces some
+  ProgressPredictor p(cfg);
+  for (JobId j = 0; j < 12; ++j) {
+    p.observe_completed_job(
+        synthetic_completed_job(j, 10000 + 2500 * j, 10 + static_cast<int>(j % 5) * 6));
+  }
+  const std::vector<double> pinned = {
+      0x1.1e55b3ba019ebp-3,  0x1.466216f373522p+3,  -0x1.592de0ea4655ap-5,
+      -0x1.a7e0500bde455p+3, -0x1.f2150ef955b73p+3, 0x1.1bcfbae9f51e8p+2,
+  };
+  ASSERT_EQ(p.weights().size(), pinned.size());
+  for (std::size_t f = 0; f < pinned.size(); ++f) {
+    EXPECT_EQ(p.weights()[f], pinned[f]) << "weight " << f;
+  }
 }
 
 TEST(Predictor, ReservoirIsBounded) {
