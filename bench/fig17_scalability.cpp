@@ -11,7 +11,7 @@
 // fresh scheduler instance — the pre-orchestrator version reused one
 // scheduler object across capacities, leaking predictor state between runs.
 //
-// `--scale=hyperscale` switches to the calendar-queue stress grid
+// `--scale=hyperscale` switches to the event-engine stress grid
 // (DESIGN.md §12): 1,000 -> 10,000 GPUs and 10k -> 100k jobs under the FIFO
 // policies, reporting deterministic event/deployment counts on stdout and
 // the wall-clock throughput curve (events/sec, decisions/sec, peak RSS) on
@@ -141,7 +141,7 @@ int run_paper(const exp::BenchOptions& opt, bench::BenchReport& report) {
   return 0;
 }
 
-// Calendar-queue stress grid: the offered load per GPU is held constant
+// Event-engine stress grid: the offered load per GPU is held constant
 // (10 jobs/GPU, arrival rate proportional to capacity) while the cluster
 // grows 10x, so the event engine — not scheduler contention — is what the
 // tiers sweep. FIFO policies only: their decisions are O(waiting + G), so
@@ -163,7 +163,7 @@ int run_hyperscale(const exp::BenchOptions& opt, bench::BenchReport& report) {
       {"FIFO-BF", [] { return std::make_unique<sched::FifoScheduler>(true); }});
 
   std::printf(
-      "Hyperscale scalability: calendar-queue engine stress, 1,000..10,000 GPUs\n");
+      "Hyperscale scalability: event-engine stress, 1,000..10,000 GPUs\n");
 
   telemetry::MetricsRegistry bench_registry;
   exp::GridOptions grid = opt.grid;
@@ -271,7 +271,7 @@ int main(int argc, char** argv) {
         return false;
       },
       "  --scale=S       paper (default: Figs 17/18, 16..64 GPUs) or hyperscale\n"
-      "                  (calendar-queue stress: 1k..10k GPUs, 10k..100k jobs)\n");
+      "                  (event-engine stress: 1k..10k GPUs, 10k..100k jobs)\n");
   if (scale != "paper" && scale != "hyperscale") {
     std::fprintf(stderr,
                  "fig17_scalability: bad --scale value '%s' (expected paper|hyperscale)\n",

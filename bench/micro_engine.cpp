@@ -1,10 +1,11 @@
-// Microbenchmarks (google-benchmark) for the calendar-queue event core
-// (DESIGN.md §12). The hold model is the classic priority-queue stress:
-// keep H events pending and, on every fire, schedule one replacement a
-// pseudo-random delay ahead — steady state exercises insert, extract-min
-// and the bucket cursor at a fixed queue depth. The cancel benches measure
-// the generation-tagged handle path (schedule + cancel round trip), which
-// the legacy std::priority_queue engine could only do via tombstones.
+// Microbenchmarks (google-benchmark) for the event core, a binary heap over
+// an event arena (DESIGN.md §12.1). The hold model is the classic
+// priority-queue stress: keep H events pending and, on every fire, schedule
+// one replacement a pseudo-random delay ahead — steady state exercises
+// insert and extract-min at a fixed queue depth. The backlog variant adds
+// far-future events that never come due, as a trace replay that schedules
+// every arrival up front does. The cancel bench measures the
+// generation-tagged handle path (schedule + cancel round trip).
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
@@ -20,14 +21,17 @@ namespace {
 using namespace ones;
 
 /// Deterministic exponential-ish delay spread over two decades, so events
-/// land across many calendar buckets instead of a single hot slot.
+/// interleave across the queue instead of piling onto one instant.
 double delay_of(Rng& rng, int i) { return 0.01 + rng.uniform() * (i % 2 ? 1.0 : 99.99); }
 
-/// Hold model at a queue depth of `state.range(0)` pending events.
-void BM_EngineHold(benchmark::State& state) {
-  const int hold = static_cast<int>(state.range(0));
+/// Hold model at `hold` pending events, on top of `backlog` far-future
+/// events scheduled first.
+void run_hold(benchmark::State& state, int hold, int backlog) {
   sim::SimEngine engine;
   Rng rng(42);
+  for (int i = 0; i < backlog; ++i) {
+    engine.schedule_after(1e9 + delay_of(rng, i), [] {});
+  }
   std::uint64_t scheduled = 0;
   // Self-perpetuating events: each fire schedules its replacement.
   std::function<void()> tick = [&] {
@@ -40,6 +44,18 @@ void BM_EngineHold(benchmark::State& state) {
     engine.step();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+
+/// Hold model at a queue depth of `state.range(0)` pending events.
+void BM_EngineHold(benchmark::State& state) {
+  run_hold(state, static_cast<int>(state.range(0)), 0);
+}
+
+/// fifo_2kgpu's shape: 512 near-future events above a backlog of
+/// `state.range(0)` far-future ones, so every pop sifts through the
+/// backlog's depth.
+void BM_EngineHoldWithBacklog(benchmark::State& state) {
+  run_hold(state, 512, static_cast<int>(state.range(0)));
 }
 
 /// Schedule + cancel round trip at a background queue depth of
@@ -61,8 +77,8 @@ void BM_EngineScheduleCancel(benchmark::State& state) {
 }
 
 /// Burst drain: schedule `state.range(0)` events up front, drain them all —
-/// the arrival-heavy phase of a trace replay (insertions into future
-/// buckets, then a monotone sweep).
+/// the arrival-heavy phase of a trace replay (insertions far ahead of the
+/// clock, then a monotone sweep).
 void BM_EngineBurstDrain(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   for (auto _ : state) {
@@ -79,6 +95,7 @@ void BM_EngineBurstDrain(benchmark::State& state) {
 }
 
 BENCHMARK(BM_EngineHold)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 18)->Arg(1 << 20);
+BENCHMARK(BM_EngineHoldWithBacklog)->Arg(10000)->Arg(100000);
 BENCHMARK(BM_EngineScheduleCancel)->Arg(1 << 10)->Arg(1 << 18);
 BENCHMARK(BM_EngineBurstDrain)->Arg(1 << 14)->Arg(1 << 18);
 

@@ -1,38 +1,10 @@
 #include "sim/engine.hpp"
 
-#include <algorithm>
-#include <bit>
 #include <cmath>
 #include <limits>
 #include <utility>
 
 namespace ones::sim {
-
-namespace {
-
-/// Descending (when, seq) order for bucket vectors: back() is the minimum.
-/// seq is unique, so there are never equal keys.
-struct EntryKey {
-  SimTime when;
-  std::uint64_t seq;
-};
-
-bool key_greater(const EntryKey& a, const EntryKey& b) {
-  if (a.when != b.when) return a.when > b.when;
-  return a.seq > b.seq;
-}
-
-}  // namespace
-
-std::uint64_t SimEngine::slot_of(SimTime when) const {
-  // width_ is floored at rebuild so when / width_ stays well inside the
-  // exactly-representable integer range; the clamp covers inserts that
-  // arrive after a rebuild with a much smaller max timestamp. Clamping keeps
-  // the map monotone, which is all the cursor walk needs.
-  const double q = when / width_;
-  constexpr double kMaxSlot = 9.0e18;  // < 2^63, comfortably inside uint64
-  return static_cast<std::uint64_t>(q < kMaxSlot ? q : kMaxSlot);
-}
 
 std::uint32_t SimEngine::alloc_slot() {
   if (!free_.empty()) {
@@ -54,122 +26,36 @@ void SimEngine::free_slot(std::uint32_t idx) {
   // again; no simulated workload gets anywhere near that on one slot.)
   ++ev.gen;
   free_.push_back(idx);
-  --live_;
 }
 
-void SimEngine::insert_into_bucket(std::uint32_t idx) {
-  const Event& ev = arena_[idx];
-  const std::uint64_t slot = slot_of(ev.when);
-  Bucket& b = buckets_[slot % buckets_.size()];
-  const EntryKey key{ev.when, ev.seq};
-  const auto pos = std::lower_bound(
-      b.begin(), b.end(), key, [this](std::uint32_t lhs, const EntryKey& k) {
-        const Event& e = arena_[lhs];
-        return key_greater(EntryKey{e.when, e.seq}, k);
-      });
-  b.insert(pos, idx);
-  if (slot < cursor_slot_) cursor_slot_ = slot;
+void SimEngine::place(std::size_t pos, const HeapEntry& e) {
+  heap_[pos] = e;
+  arena_[e.idx].pos = static_cast<std::uint32_t>(pos);
 }
 
-void SimEngine::remove_from_bucket(std::uint32_t idx) {
-  const Event& ev = arena_[idx];
-  Bucket& b = buckets_[slot_of(ev.when) % buckets_.size()];
-  const EntryKey key{ev.when, ev.seq};
-  const auto pos = std::lower_bound(
-      b.begin(), b.end(), key, [this](std::uint32_t lhs, const EntryKey& k) {
-        const Event& e = arena_[lhs];
-        return key_greater(EntryKey{e.when, e.seq}, k);
-      });
-  ONES_EXPECT_MSG(pos != b.end() && *pos == idx, "calendar bucket lost an entry");
-  b.erase(pos);
+void SimEngine::sift(std::size_t pos) {
+  const HeapEntry e = heap_[pos];
+  while (pos > 0 && e.before(heap_[(pos - 1) / 2])) {
+    place(pos, heap_[(pos - 1) / 2]);
+    pos = (pos - 1) / 2;
+  }
+  // An entry that moved up is already above its children: this loop stops at once.
+  const std::size_t n = heap_.size();
+  for (std::size_t child = 2 * pos + 1; child < n; child = 2 * pos + 1) {
+    if (child + 1 < n && heap_[child + 1].before(heap_[child])) ++child;
+    if (!heap_[child].before(e)) break;
+    place(pos, heap_[child]);
+    pos = child;
+  }
+  place(pos, e);
 }
 
-void SimEngine::maybe_resize() {
-  const std::size_t nb = buckets_.size();
-  if (live_ > 2 * nb && nb < kMaxBuckets) {
-    rebuild(std::min(kMaxBuckets, std::bit_ceil(live_)));
-  } else if (nb > kMinBuckets && live_ < nb / 8) {
-    rebuild(std::max(kMinBuckets, std::bit_ceil(live_ | 1)));
-  }
-}
-
-void SimEngine::rebuild(std::size_t nbuckets) {
-  // Collect the live set from the old ring (buckets hold exactly the live
-  // entries), re-derive the slot width from its population and span, then
-  // redistribute. Purely a function of the live set — deterministic.
-  std::vector<std::uint32_t> entries;
-  entries.reserve(live_);
-  for (Bucket& b : buckets_) {
-    entries.insert(entries.end(), b.begin(), b.end());
-    b.clear();
-  }
-  buckets_.resize(nbuckets);
-
-  if (entries.empty()) {
-    width_ = 1.0;
-    cursor_slot_ = slot_of(now_);
-    return;
-  }
-
-  SimTime min_when = arena_[entries.front()].when;
-  SimTime max_when = min_when;
-  for (const std::uint32_t idx : entries) {
-    min_when = std::min(min_when, arena_[idx].when);
-    max_when = std::max(max_when, arena_[idx].when);
-  }
-  const double span = max_when - min_when;
-  double width = span > 0.0 ? span / static_cast<double>(entries.size()) : 1.0;
-  // Floor: keep when / width_ inside the exact-integer double range even for
-  // the largest live timestamp (2^-50 leaves slack for later, larger
-  // inserts), and away from subnormal silliness.
-  width = std::max({width, max_when * 0x1p-50, 1e-12});
-  width_ = width;
-
-  std::sort(entries.begin(), entries.end(), [this](std::uint32_t a, std::uint32_t b) {
-    const Event& ea = arena_[a];
-    const Event& eb = arena_[b];
-    return key_greater(EntryKey{ea.when, ea.seq}, EntryKey{eb.when, eb.seq});
-  });
-  for (const std::uint32_t idx : entries) {
-    buckets_[slot_of(arena_[idx].when) % nbuckets].push_back(idx);
-  }
-  cursor_slot_ = slot_of(min_when);
-}
-
-SimEngine::MinRef SimEngine::find_min() {
-  ONES_EXPECT(live_ > 0);
-  const std::size_t nb = buckets_.size();
-  // Ring walk from the cursor. The year check is exact slot equality: a
-  // bucket's minimum with a *later* slot proves the bucket holds nothing for
-  // the current slot, so one back() probe per bucket suffices.
-  for (std::size_t scanned = 0; scanned < nb; ++scanned, ++cursor_slot_) {
-    const Bucket& b = buckets_[cursor_slot_ % nb];
-    if (b.empty()) continue;
-    const std::uint32_t idx = b.back();
-    if (slot_of(arena_[idx].when) == cursor_slot_) {
-      return {idx, cursor_slot_ % nb};
-    }
-  }
-  // A whole lap with nothing due: the next event is at least a ring year
-  // away (far-future outlier). Jump straight to the global minimum over all
-  // bucket minima.
-  std::uint32_t best = 0;
-  std::size_t best_bucket = 0;
-  bool found = false;
-  for (std::size_t bi = 0; bi < nb; ++bi) {
-    const Bucket& b = buckets_[bi];
-    if (b.empty()) continue;
-    const std::uint32_t idx = b.back();
-    if (!found || key_greater(EntryKey{arena_[best].when, arena_[best].seq},
-                              EntryKey{arena_[idx].when, arena_[idx].seq})) {
-      best = idx;
-      best_bucket = bi;
-      found = true;
-    }
-  }
-  ONES_EXPECT(found);
-  cursor_slot_ = slot_of(arena_[best].when);
-  return {best, best_bucket};
+void SimEngine::remove_at(std::size_t pos) {
+  const HeapEntry last = heap_.back();
+  heap_.pop_back();
+  if (pos == heap_.size()) return;
+  heap_[pos] = last;  // the former last entry fills the hole
+  sift(pos);
 }
 
 EventId SimEngine::schedule_at(SimTime when, std::function<void()> fn) {
@@ -178,15 +64,10 @@ EventId SimEngine::schedule_at(SimTime when, std::function<void()> fn) {
   ONES_EXPECT_MSG(when >= now_, "cannot schedule events in the past");
   ONES_EXPECT(fn != nullptr);
   const std::uint32_t idx = alloc_slot();
-  Event& ev = arena_[idx];
-  ev.when = when;
-  ev.seq = next_seq_++;
-  ev.fn = std::move(fn);
-  const EventId id = (static_cast<EventId>(ev.gen) << 32) | idx;
-  ++live_;
-  insert_into_bucket(idx);
-  maybe_resize();
-  return id;
+  arena_[idx].fn = std::move(fn);
+  heap_.push_back(HeapEntry{when, next_seq_++, idx});
+  sift(heap_.size() - 1);
+  return (static_cast<EventId>(arena_[idx].gen) << 32) | idx;
 }
 
 EventId SimEngine::schedule_after(SimTime delay, std::function<void()> fn) {
@@ -202,44 +83,40 @@ bool SimEngine::cancel(EventId id) {
   // Generation match implies the slot is live: free_slot bumps gen before
   // the slot can ever be reused or observed stale.
   ONES_EXPECT(arena_[idx].fn != nullptr);
-  remove_from_bucket(idx);
+  const std::uint32_t pos = arena_[idx].pos;
+  ONES_EXPECT_MSG(pos < heap_.size() && heap_[pos].idx == idx, "event heap lost an entry");
+  remove_at(pos);
   free_slot(idx);
-  maybe_resize();
   return true;
 }
 
 bool SimEngine::step() {
-  if (live_ == 0) return false;
+  if (heap_.empty()) return false;
   std::function<void()> fn;
   {
     // Extraction only — the callback runs outside this span, so spans it
     // opens (scheduler decisions, nested schedules) are not charged to the
     // engine's pop path.
     const prof::Scope span(profiler_, "engine.pop");
-    const MinRef min = find_min();
-    Bucket& b = buckets_[min.bucket];
-    ONES_EXPECT(!b.empty() && b.back() == min.idx);
-    b.pop_back();
+    const HeapEntry top = heap_.front();
+    remove_at(0);
     // Release the slot *before* running the callback: a self-cancel from
     // inside the callback must see a stale handle (deterministic no-op), and
     // the callback may schedule new events, which can reallocate the arena —
     // so the callback is moved out first and no Event reference is held.
-    fn = std::move(arena_[min.idx].fn);
-    const SimTime when = arena_[min.idx].when;
-    free_slot(min.idx);
-    now_ = when;
+    fn = std::move(arena_[top.idx].fn);
+    free_slot(top.idx);
+    now_ = top.when;
     ++fired_;
   }
   if (fire_hook_) fire_hook_(now_, fired_);
   fn();
-  maybe_resize();
   return true;
 }
 
 void SimEngine::run_until(SimTime limit) {
-  while (live_ > 0) {
-    const MinRef min = find_min();
-    if (arena_[min.idx].when > limit) break;
+  while (!heap_.empty()) {
+    if (heap_.front().when > limit) break;
     step();
   }
   if (now_ < limit) now_ = limit;

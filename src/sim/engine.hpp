@@ -1,13 +1,10 @@
-// Deterministic discrete-event simulation engine.
+// Deterministic discrete-event simulation engine (DESIGN.md §12.1).
 //
-// The engine is a calendar queue (bucketed timer wheel, DESIGN.md §12):
-// events live in a slab arena and are indexed by time buckets, giving O(1)
-// amortized schedule / pop / cancel against the O(log n) of a binary heap —
-// the difference between minutes and hours on 10k-GPU, ~1M-job traces.
-// Events scheduled for the same instant fire in scheduling order (FIFO
-// tie-break on a sequence counter), which makes runs bit-reproducible. All
-// simulated components — job arrivals, epoch completions, scaling protocol
-// steps, periodic reschedulers — are expressed as events.
+// A binary min-heap of {when, seq, arena index} entries over a slab arena
+// that holds the callbacks. Events scheduled for the same instant fire in
+// scheduling order (FIFO tie-break on a sequence counter), which makes runs
+// bit-reproducible. Job arrivals, epoch completions, scaling protocol steps
+// and periodic reschedulers are all events.
 //
 // EventIds are generation-tagged arena handles: cancelling an event that
 // already fired (or firing right now) is a deterministic no-op returning
@@ -35,7 +32,11 @@ using EventId = std::uint64_t;
 
 class SimEngine {
  public:
-  SimEngine() : buckets_(kMinBuckets) {}
+  // The first 16 heap entries are allocated up front, not for the heap's
+  // sake: without this allocation glibc's heap-top trimming lands otherwise
+  // and perfbench's ones_32gpu set-up measured about four times slower
+  // (ROADMAP item 14).
+  SimEngine() { heap_.reserve(16); }
   SimEngine(const SimEngine&) = delete;
   SimEngine& operator=(const SimEngine&) = delete;
 
@@ -64,7 +65,7 @@ class SimEngine {
   void run();
 
   /// Number of pending (non-cancelled) events.
-  std::size_t pending() const { return live_; }
+  std::size_t pending() const { return heap_.size(); }
 
   /// Total number of events fired so far.
   std::uint64_t fired() const { return fired_; }
@@ -92,45 +93,28 @@ class SimEngine {
   /// every free (fire or cancel), so a handle minted at generation g stops
   /// validating the moment the slot is released, and keeps failing after the
   /// slot is reused at generation g+1. Starts at 1 so no live handle is 0.
+  /// `pos` is the event's index in `heap_` while pending: cancel is exact.
   struct Event {
-    SimTime when = 0.0;
-    std::uint64_t seq = 0;
     std::uint32_t gen = 1;
+    std::uint32_t pos = 0;
     std::function<void()> fn;
   };
 
-  /// Arena indices, sorted descending by (when, seq) so back() is the bucket
-  /// minimum and the hot-path removal is pop_back().
-  using Bucket = std::vector<std::uint32_t>;
-
-  static constexpr std::size_t kMinBuckets = 16;
-  static constexpr std::size_t kMaxBuckets = std::size_t{1} << 21;
-
-  /// Absolute (non-wrapped) slot number of a timestamp. Monotone in `when`
-  /// (clamped at the top end, which preserves monotonicity), so the cursor
-  /// walk visits slots in time order.
-  std::uint64_t slot_of(SimTime when) const;
-
-  /// Locate the global minimum (when, seq) entry: cursor ring walk with
-  /// exact-slot year check, falling back to a scan of all bucket minima when
-  /// a whole ring lap is empty (far-future jumps). Leaves cursor_slot_ at
-  /// the returned entry's slot. Requires live_ > 0.
-  struct MinRef {
+  /// The ordering key travels with the index, so sifting reads no arena
+  /// entry. Earlier time first, then earlier scheduling (seq is unique).
+  struct HeapEntry {
+    SimTime when;
+    std::uint64_t seq;
     std::uint32_t idx;
-    std::size_t bucket;
+    bool before(const HeapEntry& o) const { return when != o.when ? when < o.when : seq < o.seq; }
   };
-  MinRef find_min();
 
   std::uint32_t alloc_slot();
   void free_slot(std::uint32_t idx);
-  void insert_into_bucket(std::uint32_t idx);
-  void remove_from_bucket(std::uint32_t idx);
-  /// Rebuild the calendar when the live count has outgrown (or far
-  /// undershot) the bucket ring: re-derive bucket count and width from the
-  /// live population and redistribute. Deterministic — depends only on the
-  /// live set, never on the iteration order of a hash container.
-  void maybe_resize();
-  void rebuild(std::size_t nbuckets);
+  void place(std::size_t pos, const HeapEntry& e);
+  /// Move the entry at heap position `pos` up or down to where it belongs.
+  void sift(std::size_t pos);
+  void remove_at(std::size_t pos);
 
   SimTime now_ = 0.0;
   std::function<void(SimTime, std::uint64_t)> fire_hook_;
@@ -140,10 +124,7 @@ class SimEngine {
 
   std::vector<Event> arena_;
   std::vector<std::uint32_t> free_;
-  std::vector<Bucket> buckets_;
-  double width_ = 1.0;
-  std::uint64_t cursor_slot_ = 0;
-  std::size_t live_ = 0;
+  std::vector<HeapEntry> heap_;  // min-heap on (when, seq); only live events
 };
 
 }  // namespace ones::sim

@@ -1,13 +1,14 @@
-// Differential property harness: the production calendar-queue SimEngine vs
-// the reference priority-queue engine (tests/reference_engine.hpp).
+// Differential property harness: the production heap SimEngine vs the
+// reference priority-queue engine (tests/reference_engine.hpp).
 //
 // Both engines are driven in lock-step through the same deterministic op
 // script (seeded randomized schedule_at / schedule_after / cancel /
-// run_until / step interleavings, adversarial same-timestamp bursts,
-// bucket-boundary and far-future times, schedule-and-cancel from within
-// callbacks). After every op the harness asserts byte-identical fire order
-// (tag sequence), now() trajectories, cancel() return values and pending()
-// counts. Any divergence is a semantics bug in the calendar queue — the
+// run_until / step interleavings, adversarial same-timestamp bursts, exact
+// and far-future times, schedule-and-cancel from within callbacks, and a
+// cancel-heavy episode in which most events die before they come due).
+// After every op the harness asserts byte-identical fire order (tag
+// sequence), now() trajectories, cancel() return values and pending()
+// counts. Any divergence is a semantics bug in the production engine — the
 // reference engine is the spec.
 #include <gtest/gtest.h>
 
@@ -37,6 +38,9 @@ class Harness {
   std::vector<std::pair<double, int>> fire_log;  // (now() at fire, tag)
   std::vector<int> cancel_log;                   // in-callback cancel results
   int next_tag = 0;
+  // When set, some callbacks also cancel the next-scheduled event, which is
+  // often still pending (a same-instant sibling or a far-future event).
+  bool cancel_ahead = false;
 
   int schedule_abs(double when) {
     const int tag = next_tag++;
@@ -59,6 +63,9 @@ class Harness {
       if (tag % 7 == 3 && tag / 2 < tag) {
         // Cancel-from-within-a-callback targeting an unrelated event.
         cancel_log.push_back(cancel_tag(tag / 2) ? 1 : 0);
+      }
+      if (cancel_ahead && tag % 3 == 1 && tag + 1 < next_tag) {
+        cancel_log.push_back(cancel_tag(tag + 1) ? 1 : 0);
       }
       if (tag % 11 == 5) {
         // Self-cancel while firing: must be a deterministic no-op -> false.
@@ -87,9 +94,9 @@ class LockStep {
     ASSERT_EQ(dut.cancel_log, ref.cancel_log) << where;
   }
 
-  void schedule_abs(double when) {
-    dut.schedule_abs(when);
+  int schedule_abs(double when) {
     ref.schedule_abs(when);
+    return dut.schedule_abs(when);
   }
 
   void schedule_rel(double delay) {
@@ -131,11 +138,11 @@ void run_episode(std::uint64_t seed, int ops) {
         for (std::int64_t i = 0; i < burst; ++i) ls.schedule_abs(when);
         break;
       }
-      case 2:  // bucket-boundary-ish times: exact integers and power-of-two steps
+      case 2:  // exact integers and power-of-two steps: many exact-time ties
         ls.schedule_abs(now + static_cast<double>(rng.uniform_int(0, 64)) *
                                   (rng.bernoulli(0.5) ? 1.0 : 0.0078125));
         break;
-      case 3:  // far-future outlier (forces ring wrap + global-min fallback)
+      case 3:  // far-future outlier: sits deep in the queue until a long jump
         ls.schedule_abs(now + rng.uniform(1e6, 1e12));
         break;
       case 4:  // relative scheduling, including zero delay
@@ -181,9 +188,85 @@ TEST(EngineEquivalence, RandomizedLockStepSweep) {
 }
 
 TEST(EngineEquivalence, LongEpisodeExercisesResizeBothWays) {
-  // Enough volume to grow the calendar several times, then drain it to
-  // trigger shrinks; op mix identical to the sweep.
+  // Ten times the sweep's episode length on one seed (the queue peaks at a
+  // few dozen pending events), then a drain to empty; op mix identical to
+  // the sweep.
   run_episode(/*seed=*/424242, /*ops=*/3000);
+}
+
+// Cancel-heavy episode: most scheduled events are cancelled while pending —
+// near, same-instant and far-future ones, by the script and from inside
+// callbacks — and each run_until limit falls at or between cancelled times,
+// so a cancelled event must never fire or stop the clock.
+void run_cancel_heavy_episode(std::uint64_t seed, int ops) {
+  LockStep ls;
+  ls.dut.cancel_ahead = ls.ref.cancel_ahead = true;
+  Rng rng(seed);
+  std::vector<std::pair<double, int>> open;  // (when, tag), maybe still pending
+  std::vector<double> cancelled_at;          // times of script-cancelled events
+  int cancelled = 0;
+  for (int op = 0; op < ops; ++op) {
+    const double now = ls.dut.engine.now();
+    const auto kind = rng.uniform_int(0, 9);
+    if (kind <= 1) {  // same-instant burst, often at now
+      const double when = rng.bernoulli(0.3) ? now : now + rng.uniform(0.0, 100.0);
+      const auto count = rng.uniform_int(2, 10);
+      for (std::int64_t i = 0; i < count; ++i) open.emplace_back(when, ls.schedule_abs(when));
+    } else if (kind <= 4) {  // a batch mixing near and far-future times
+      const auto count = rng.uniform_int(1, 12);
+      for (std::int64_t i = 0; i < count; ++i) {
+        const double when = now + (rng.bernoulli(0.5) ? rng.uniform(0.0, 100.0)
+                                                      : rng.uniform(1e6, 1e12));
+        open.emplace_back(when, ls.schedule_abs(when));
+      }
+    } else if (kind <= 7) {  // cancel most of what may still be pending
+      std::vector<std::pair<double, int>> kept;
+      for (const auto& [when, tag] : open) {
+        if (when < now) continue;  // fired or cancelled already
+        if (!rng.bernoulli(0.85)) {
+          kept.emplace_back(when, tag);
+          continue;
+        }
+        const bool hit = ls.dut.cancel_tag(tag);
+        ASSERT_EQ(hit, ls.ref.cancel_tag(tag)) << "cancel tag " << tag;
+        if (hit) {
+          ++cancelled;
+          cancelled_at.push_back(when);
+        }
+      }
+      open = std::move(kept);
+    } else if (kind == 8) {  // advance to or between cancelled times
+      std::vector<double> ahead;
+      // Near times only: a limit between far-future ones would drain everything.
+      for (const double t : cancelled_at) {
+        if (t >= now && t < now + 1e3) ahead.push_back(t);
+      }
+      std::sort(ahead.begin(), ahead.end());
+      double limit = now + rng.uniform(0.0, 50.0);
+      if (ahead.size() >= 2) {
+        const auto i = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(ahead.size()) - 2));
+        limit = rng.bernoulli(0.5) ? ahead[i] : 0.5 * (ahead[i] + ahead[i + 1]);
+      }
+      ls.run_until(limit);
+    } else {
+      ls.step();
+    }
+    ls.check("after op");
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  // The shape this episode claims: cancels outnumber fires.
+  EXPECT_GT(cancelled, static_cast<int>(ls.dut.engine.fired()));
+  ls.drain();
+  ls.check("after drain");
+}
+
+TEST(EngineEquivalence, CancelHeavyLockStep) {
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    run_cancel_heavy_episode(seed, 400);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
 }
 
 TEST(EngineEquivalence, SameInstantBurstsPreserveFifoOrder) {

@@ -3,10 +3,11 @@
 // Runs ONES end-to-end on the hyperscale trace generator (8-GPU job class +
 // diurnal arrival modulation), replays the emitted trace through
 // trace::TraceReplayer (invariants I1-I8, DESIGN.md §8) and pins summary()
-// to golden values captured on the pre-calendar-queue engine. The goldens
-// are bit-exact (EXPECT_DOUBLE_EQ): the calendar-queue engine and the
-// incremental scheduler-state indices are required to be decision-identical,
-// so any drift here is a semantics regression, not noise.
+// to golden values captured on the seed engine (std::priority_queue with
+// hash-map callbacks and full rescans). The goldens are bit-exact
+// (EXPECT_DOUBLE_EQ): the production event engine and the incremental
+// scheduler-state indices are required to be decision-identical, so any
+// drift here is a semantics regression, not noise.
 #include <gtest/gtest.h>
 
 #include <memory>

@@ -1,11 +1,13 @@
 // Reference discrete-event engine for the differential equivalence harness
 // (tests/engine_equivalence_test.cpp).
 //
-// This is the pre-calendar-queue `sim::SimEngine` — a std::priority_queue
-// min-heap on (when, seq) with tombstone cancellation — kept verbatim and
-// compiled into tests only. It is the executable specification the
-// production calendar queue must match event-for-event: same fire order,
-// same now() trajectory, same cancel() return values, same pending() counts.
+// This is the seed's `sim::SimEngine` — a std::priority_queue min-heap on
+// (when, seq), callbacks in a hash map keyed by id and cancellation by
+// tombstones in a hash set — kept verbatim and compiled into tests only. It
+// is the executable specification the production engine (a heap over an
+// event arena with exact cancellation) must match event-for-event: same fire
+// order, same now() trajectory, same cancel() return values, same pending()
+// counts.
 // Do not "improve" it; its value is that it stays simple and obviously
 // correct.
 #pragma once
