@@ -1,7 +1,7 @@
 #include "cluster/topology.hpp"
 
 #include <algorithm>
-#include <unordered_set>
+#include <vector>
 
 #include "common/expect.hpp"
 
@@ -29,9 +29,11 @@ std::vector<GpuId> Topology::gpus_of(NodeId node) const {
 }
 
 int Topology::nodes_spanned(std::span<const GpuId> gpus) const {
-  std::unordered_set<NodeId> nodes;
-  for (GpuId g : gpus) nodes.insert(node_of(g));
-  return static_cast<int>(nodes.size());
+  std::vector<NodeId> nodes;
+  nodes.reserve(gpus.size());
+  for (GpuId g : gpus) nodes.push_back(node_of(g));
+  std::sort(nodes.begin(), nodes.end());
+  return static_cast<int>(std::unique(nodes.begin(), nodes.end()) - nodes.begin());
 }
 
 LinkProfile Topology::link_profile(std::span<const GpuId> gpus) const {

@@ -5,6 +5,15 @@
 
 namespace ones::core {
 
+namespace {
+
+/// Metropolis proposals evaluated per scheduler event.
+constexpr int kProposalsPerEvent = 64;
+constexpr double kInitialTemperature = 400.0;  ///< in SRUF score units (GPU-seconds)
+constexpr double kCooling = 0.995;              ///< multiplicative, per proposal
+
+}  // namespace
+
 AnnealingScheduler::AnnealingScheduler(const AnnealingConfig& config)
     : GenomeScheduler(config.policy, config.predictor, config.use_predictor,
                       [&] {
@@ -14,7 +23,7 @@ AnnealingScheduler::AnnealingScheduler(const AnnealingConfig& config)
                       }()),
       config_(config),
       rng_(config.operators.seed ^ 0x5AD0C0DEULL),
-      temperature_(config.initial_temperature) {}
+      temperature_(kInitialTemperature) {}
 
 std::optional<cluster::Assignment> AnnealingScheduler::on_event(
     const sched::ClusterState& state, const sched::SchedulerEvent& event) {
@@ -33,7 +42,7 @@ std::optional<cluster::Assignment> AnnealingScheduler::on_event(
   cluster::Assignment walker = std::move(incumbent);
   double walker_score = best_score;
 
-  for (int i = 0; i < config_.proposals_per_event; ++i) {
+  for (int i = 0; i < kProposalsPerEvent; ++i) {
     cluster::Assignment proposal = walker;
     evolution_.mutate(proposal, ctx);
     evolution_.repair(proposal, ctx);
@@ -51,7 +60,7 @@ std::optional<cluster::Assignment> AnnealingScheduler::on_event(
         best = walker;
       }
     }
-    temperature_ = std::max(config_.min_temperature, temperature_ * config_.cooling);
+    temperature_ = std::max(kMinTemperature, temperature_ * kCooling);
   }
 
   if (!policy_.should_deploy(state, event)) return std::nullopt;

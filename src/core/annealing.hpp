@@ -17,11 +17,6 @@
 namespace ones::core {
 
 struct AnnealingConfig {
-  /// Metropolis proposals evaluated per scheduler event.
-  int proposals_per_event = 64;
-  double initial_temperature = 400.0;  ///< in SRUF score units (GPU-seconds)
-  double cooling = 0.995;              ///< multiplicative, per proposal
-  double min_temperature = 5.0;
   EvolutionConfig operators;  ///< operator toolbox config (mutation rate etc.)
   BatchPolicyConfig policy;
   predict::PredictorConfig predictor;
@@ -30,6 +25,9 @@ struct AnnealingConfig {
 
 class AnnealingScheduler : public GenomeScheduler {
  public:
+  /// Floor of the cooling schedule, in SRUF score units (GPU-seconds).
+  static constexpr double kMinTemperature = 5.0;
+
   explicit AnnealingScheduler(const AnnealingConfig& config = {});
 
   std::string name() const override { return "ONES-SA"; }

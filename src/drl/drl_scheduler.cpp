@@ -12,16 +12,18 @@
 
 namespace ones::drl {
 
+namespace {
+
+constexpr int kHiddenWidth = 16;  ///< of each of the policy network's two hidden layers
+constexpr double kLearningRate = 0.02;
+constexpr double kTrainInterarrivalS = 30.0;
+constexpr int kMaxWorkersPerJob = 16;
+
+}  // namespace
+
 DrlScheduler::DrlScheduler(const DrlConfig& config)
     : config_(config),
-      policy_([&] {
-        std::vector<int> sizes;
-        sizes.push_back(static_cast<int>(kFeatureDim));
-        for (int h : config.hidden) sizes.push_back(h);
-        sizes.push_back(1);
-        return sizes;
-      }(),
-              config.seed),
+      policy_({static_cast<int>(kFeatureDim), kHiddenWidth, kHiddenWidth, 1}, config.seed),
       rng_(config.seed ^ 0xD1CEB00CULL) {}
 
 std::vector<double> DrlScheduler::action_features(const sched::ClusterState& state,
@@ -55,8 +57,7 @@ std::vector<DrlScheduler::Action> DrlScheduler::enumerate_actions(
     if (assignment.gpu_count(job->spec.id) > 0) continue;  // placed this round
     const int min_w = static_cast<int>(
         ceil_div(job->spec.requested_batch, job->profile->max_local_batch));
-    const int max_w = std::min({config_.max_workers_per_job, free,
-                                job->spec.requested_batch});
+    const int max_w = std::min({kMaxWorkersPerJob, free, job->spec.requested_batch});
     bool any = false;
     for (int w = 1; w <= max_w; w *= 2) {
       if (w < min_w) continue;
@@ -137,7 +138,7 @@ void DrlScheduler::train() {
   for (int ep = 0; ep < config_.train_episodes; ++ep) {
     workload::TraceConfig tc;
     tc.num_jobs = config_.train_jobs;
-    tc.mean_interarrival_s = config_.train_interarrival_s;
+    tc.mean_interarrival_s = kTrainInterarrivalS;
     tc.seed = config_.seed + static_cast<std::uint64_t>(ep) * 7919;
     auto trace = workload::generate_trace(tc);
 
@@ -168,7 +169,7 @@ void DrlScheduler::train() {
         policy_.accumulate_gradient(d.actions[a].features, unit, advantage * coeff);
       }
     }
-    policy_.apply_gradient(config_.learning_rate);
+    policy_.apply_gradient(kLearningRate);
   }
 
   episode_.clear();

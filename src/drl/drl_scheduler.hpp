@@ -22,13 +22,9 @@
 namespace ones::drl {
 
 struct DrlConfig {
-  std::vector<int> hidden = {16, 16};
-  double learning_rate = 0.02;
   int train_episodes = 80;
   int train_jobs = 32;
-  double train_interarrival_s = 30.0;
   int train_nodes = 4;  ///< 4 nodes x 4 GPUs = 16-GPU training cluster
-  int max_workers_per_job = 16;
   std::uint64_t seed = 2024;
 };
 

@@ -10,9 +10,21 @@
 
 namespace ones::sched {
 
+namespace {
+
+constexpr double kReschedulePeriodS = 600.0;  ///< the paper uses Optimus's 10 min
+constexpr int kMaxWorkersPerJob = 16;
+/// Prior for jobs with too little history to fit a curve.
+constexpr double kDefaultTotalEpochs = 30.0;
+constexpr int kPatienceEpochs = 10;  ///< convergence-confirmation tail (paper §4.1)
+
+}  // namespace
+
+double OptimusScheduler::period_s() const { return kReschedulePeriodS; }
+
 double OptimusScheduler::predict_remaining_epochs(const JobView& job) const {
   const double done = static_cast<double>(job.epochs_completed);
-  const double tail = static_cast<double>(config_.patience_epochs);
+  const double tail = static_cast<double>(kPatienceEpochs);
 
   if (job.epoch_log.size() >= 3) {
     // Fit 1/(1 - acc) = a*k + b on the observed epochs.
@@ -34,7 +46,7 @@ double OptimusScheduler::predict_remaining_epochs(const JobView& job) const {
     }
   }
   // Too little history (or a non-increasing fit): fall back to the prior.
-  return std::max(config_.default_total_epochs - done, 1.0) + tail;
+  return std::max(kDefaultTotalEpochs - done, 1.0) + tail;
 }
 
 std::optional<cluster::Assignment> OptimusScheduler::on_event(const ClusterState& state,
@@ -57,7 +69,7 @@ std::optional<cluster::Assignment> OptimusScheduler::on_event(const ClusterState
     c.remaining_samples = predict_remaining_epochs(*job) * job->dataset_size();
     c.min_workers = static_cast<int>(
         ceil_div(job->spec.requested_batch, job->profile->max_local_batch));
-    c.max_workers = std::min(config_.max_workers_per_job, job->spec.requested_batch);
+    c.max_workers = std::min(kMaxWorkersPerJob, job->spec.requested_batch);
     cands.push_back(c);
   }
 

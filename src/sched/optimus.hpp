@@ -21,30 +21,17 @@
 
 namespace ones::sched {
 
-struct OptimusConfig {
-  double reschedule_period_s = 600.0;  ///< the paper uses Optimus's 10 min
-  int max_workers_per_job = 16;
-  /// Prior for jobs with too little history to fit a curve.
-  double default_total_epochs = 30.0;
-  int patience_epochs = 10;  ///< convergence-confirmation tail (paper §4.1)
-};
-
 class OptimusScheduler : public Scheduler {
  public:
-  explicit OptimusScheduler(const OptimusConfig& config = {}) : config_(config) {}
-
   std::string name() const override { return "Optimus"; }
   ScalingMechanism mechanism() const override { return ScalingMechanism::Checkpoint; }
-  double period_s() const override { return config_.reschedule_period_s; }
+  double period_s() const override;
 
   std::optional<cluster::Assignment> on_event(const ClusterState& state,
                                               const SchedulerEvent& event) override;
 
   /// Predicted remaining epochs for a job (exposed for tests).
   double predict_remaining_epochs(const JobView& job) const;
-
- private:
-  OptimusConfig config_;
 };
 
 }  // namespace ones::sched

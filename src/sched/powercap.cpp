@@ -6,20 +6,21 @@
 
 namespace ones::sched {
 
-PowerCapScheduler::PowerCapScheduler(const PowerCapConfig& config) : config_(config) {
-  ONES_EXPECT_MSG(config_.cap_fraction > 0.0 && config_.cap_fraction <= 1.0,
-                  "cap_fraction must be in (0, 1]");
-  ONES_EXPECT_MSG(config_.cap_watts >= 0.0, "cap_watts must be non-negative");
-}
+namespace {
 
-double PowerCapScheduler::cap_watts(const ClusterState& state) const {
-  if (config_.cap_watts > 0.0) return config_.cap_watts;
+/// Budget as a fraction of peak draw (every GPU at gpu_busy_w plus all node
+/// base power).
+constexpr double kCapFraction = 0.7;
+
+double cap_watts(const ClusterState& state) {
   const energy::PowerConfig& cfg = state.power->config();
   const double peak =
       static_cast<double>(state.topology->total_gpus()) * cfg.gpu_busy_w +
       static_cast<double>(state.topology->num_nodes()) * cfg.node_base_w;
-  return config_.cap_fraction * peak;
+  return kCapFraction * peak;
 }
+
+}  // namespace
 
 std::optional<cluster::Assignment> PowerCapScheduler::on_event(
     const ClusterState& state, const SchedulerEvent& event) {

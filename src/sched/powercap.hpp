@@ -3,7 +3,8 @@
 // cluster under a power budget and throttle admissions, trading queueing
 // delay for peak draw and energy).
 //
-// FIFO-with-backfill admission under a cluster-wide watts budget: before
+// FIFO-with-backfill admission under a cluster-wide watts budget, a fixed
+// 70% of peak draw (every GPU busy plus all node base power): before
 // starting a waiting job, project the cluster draw with the job placed
 // (from energy::cluster_draw of the current schedule, the function the meter
 // bills with, DESIGN.md §10) and admit only while the projection stays at or
@@ -17,30 +18,13 @@
 
 namespace ones::sched {
 
-struct PowerCapConfig {
-  /// Budget as a fraction of peak draw (every GPU at gpu_busy_w plus all
-  /// node base power). Ignored when cap_watts > 0.
-  double cap_fraction = 0.7;
-  /// Absolute budget in watts; 0 (default) derives the budget from
-  /// cap_fraction.
-  double cap_watts = 0.0;
-};
-
 class PowerCapScheduler : public Scheduler {
  public:
-  explicit PowerCapScheduler(const PowerCapConfig& config = {});
-
   std::string name() const override { return "PowerCap"; }
   ScalingMechanism mechanism() const override { return ScalingMechanism::Checkpoint; }
 
   std::optional<cluster::Assignment> on_event(const ClusterState& state,
                                               const SchedulerEvent& event) override;
-
-  /// The effective budget in watts for the given cluster.
-  double cap_watts(const ClusterState& state) const;
-
- private:
-  PowerCapConfig config_;
 };
 
 }  // namespace ones::sched

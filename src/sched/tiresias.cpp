@@ -26,16 +26,7 @@ std::optional<cluster::Assignment> TiresiasScheduler::on_event(const ClusterStat
     int queue;
   };
   std::vector<Cand> cands;
-  for (const JobView* job : state.active_jobs()) {
-    int q = queue_of(*job);
-    if (config_.promote_knob > 0.0 && job->status == JobStatus::Waiting) {
-      const double waited = state.now - job->spec.arrival_time_s - job->exec_time_s;
-      if (job->exec_time_s > 0.0 && waited > config_.promote_knob * job->exec_time_s) {
-        q = 0;  // STARVE-FREE promotion
-      }
-    }
-    cands.push_back({job, q});
-  }
+  for (const JobView* job : state.active_jobs()) cands.push_back({job, queue_of(*job)});
   // Priority: lower queue first; FIFO (arrival order) within a queue.
   std::sort(cands.begin(), cands.end(), [](const Cand& a, const Cand& b) {
     if (a.queue != b.queue) return a.queue < b.queue;

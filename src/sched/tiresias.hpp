@@ -7,7 +7,8 @@
 // demotes a job through a fixed set of discretized queues (avoiding
 // continuous-priority preemption churn). Within a queue, jobs run in FIFO
 // order. Preemption is allowed; job size is fixed at submission (Table 3:
-// no elastic job size, no elastic batch size).
+// no elastic job size, no elastic batch size). There is no STARVE-FREE
+// promotion: a demoted job waits in its queue.
 #pragma once
 
 #include <vector>
@@ -21,9 +22,6 @@ struct TiresiasConfig {
   /// A job in queue i has service < thresholds[i]; the last queue is
   /// unbounded. Calibrated to the trace's service scale.
   std::vector<double> queue_thresholds = {900.0, 7200.0};
-  /// STARVE-FREE knob: a job waiting longer than this multiple of its
-  /// executed time is promoted back to the top queue (0 disables).
-  double promote_knob = 0.0;
 };
 
 class TiresiasScheduler : public Scheduler {

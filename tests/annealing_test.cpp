@@ -53,8 +53,7 @@ TEST(Annealing, TemperatureCoolsMonotonically) {
                                s);
   sim.run();
   EXPECT_LT(s.temperature(), t0);
-  core::AnnealingConfig cfg;
-  EXPECT_GE(s.temperature(), cfg.min_temperature);
+  EXPECT_GE(s.temperature(), core::AnnealingScheduler::kMinTemperature);
 }
 
 // ONES-SA shares ONES's policy front-end, so an attached registry and

@@ -6,6 +6,9 @@
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <type_traits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -244,42 +247,121 @@ TEST(ExpCache, DisabledCacheNeverTouchesDisk) {
   EXPECT_FALSE(fs::exists(dir.path()));
 }
 
+/// Moves one serialized field to a value it cannot already hold.
+template <class T>
+void bump(T& v) {
+  if constexpr (std::is_same_v<T, bool>) {
+    v = !v;
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    v += "x";
+  } else if constexpr (std::is_floating_point_v<T>) {
+    v = v * 2.0 + 1.0;
+  } else {
+    v += 1;
+  }
+}
+
+std::vector<std::string> lines_of(const std::string& text) {
+  std::vector<std::string> out;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) out.push_back(line);
+  return out;
+}
+
 TEST(ExpRunSpec, CacheKeyIsSensitiveToEveryKnob) {
+  struct Knob {
+    const char* key;
+    void (*mutate)(RunSpec&);
+  };
+  const Knob knobs[] = {
+      {"scheduler", [](RunSpec& s) { bump(s.scheduler); }},
+      {"variant", [](RunSpec& s) { bump(s.variant); }},
+      {"topology.num_nodes", [](RunSpec& s) { bump(s.sim.topology.num_nodes); }},
+      {"topology.gpus_per_node", [](RunSpec& s) { bump(s.sim.topology.gpus_per_node); }},
+      {"topology.intra_node_bw_Bps", [](RunSpec& s) { bump(s.sim.topology.intra_node_bw_Bps); }},
+      {"topology.inter_node_bw_Bps", [](RunSpec& s) { bump(s.sim.topology.inter_node_bw_Bps); }},
+      {"topology.intra_node_latency_s",
+       [](RunSpec& s) { bump(s.sim.topology.intra_node_latency_s); }},
+      {"topology.inter_node_latency_s",
+       [](RunSpec& s) { bump(s.sim.topology.inter_node_latency_s); }},
+      {"convergence.patience_epochs", [](RunSpec& s) { bump(s.sim.convergence.patience_epochs); }},
+      {"convergence.spike_per_extra_doubling",
+       [](RunSpec& s) { bump(s.sim.convergence.spike_per_extra_doubling); }},
+      {"convergence.disturbance_decay",
+       [](RunSpec& s) { bump(s.sim.convergence.disturbance_decay); }},
+      {"convergence.progress_slowdown",
+       [](RunSpec& s) { bump(s.sim.convergence.progress_slowdown); }},
+      {"convergence.disturbance_accuracy_drop",
+       [](RunSpec& s) { bump(s.sim.convergence.disturbance_accuracy_drop); }},
+      {"convergence.accuracy_noise", [](RunSpec& s) { bump(s.sim.convergence.accuracy_noise); }},
+      {"convergence.lr_linear_scaling",
+       [](RunSpec& s) { bump(s.sim.convergence.lr_linear_scaling); }},
+      {"costs.pause_step_s", [](RunSpec& s) { bump(s.sim.costs.pause_step_s); }},
+      {"costs.resize_modules_s", [](RunSpec& s) { bump(s.sim.costs.resize_modules_s); }},
+      {"costs.resize_per_byte_s", [](RunSpec& s) { bump(s.sim.costs.resize_per_byte_s); }},
+      {"costs.reconnect_base_s", [](RunSpec& s) { bump(s.sim.costs.reconnect_base_s); }},
+      {"costs.reconnect_per_worker_s",
+       [](RunSpec& s) { bump(s.sim.costs.reconnect_per_worker_s); }},
+      {"costs.hdfs_bw_Bps", [](RunSpec& s) { bump(s.sim.costs.hdfs_bw_Bps); }},
+      {"costs.scheduler_delay_s", [](RunSpec& s) { bump(s.sim.costs.scheduler_delay_s); }},
+      {"costs.framework_init_s", [](RunSpec& s) { bump(s.sim.costs.framework_init_s); }},
+      {"costs.data_pipeline_warmup_s",
+       [](RunSpec& s) { bump(s.sim.costs.data_pipeline_warmup_s); }},
+      {"costs.model_load_s", [](RunSpec& s) { bump(s.sim.costs.model_load_s); }},
+      {"oracle.noise_sigma", [](RunSpec& s) { bump(s.sim.oracle.noise_sigma); }},
+      {"oracle.noise_seed", [](RunSpec& s) { bump(s.sim.oracle.noise_seed); }},
+      {"power.gpu_idle_w", [](RunSpec& s) { bump(s.sim.power.gpu_idle_w); }},
+      {"power.gpu_busy_w", [](RunSpec& s) { bump(s.sim.power.gpu_busy_w); }},
+      {"power.node_base_w", [](RunSpec& s) { bump(s.sim.power.node_base_w); }},
+      {"power.comm_power_fraction", [](RunSpec& s) { bump(s.sim.power.comm_power_fraction); }},
+      {"fault.seed", [](RunSpec& s) { bump(s.sim.fault.seed); }},
+      {"fault.gpu_mtbf_s", [](RunSpec& s) { bump(s.sim.fault.gpu_mtbf_s); }},
+      {"fault.gpu_repair_s", [](RunSpec& s) { bump(s.sim.fault.gpu_repair_s); }},
+      {"fault.node_mtbf_s", [](RunSpec& s) { bump(s.sim.fault.node_mtbf_s); }},
+      {"fault.node_repair_s", [](RunSpec& s) { bump(s.sim.fault.node_repair_s); }},
+      {"fault.spot_fraction", [](RunSpec& s) { bump(s.sim.fault.spot_fraction); }},
+      {"fault.reclaim_mtbf_s", [](RunSpec& s) { bump(s.sim.fault.reclaim_mtbf_s); }},
+      {"fault.reclaim_return_s", [](RunSpec& s) { bump(s.sim.fault.reclaim_return_s); }},
+      {"fault.checkpoint_interval_s", [](RunSpec& s) { bump(s.sim.fault.checkpoint_interval_s); }},
+      {"fault.retry_backoff_s", [](RunSpec& s) { bump(s.sim.fault.retry_backoff_s); }},
+      {"fault.max_restarts", [](RunSpec& s) { bump(s.sim.fault.max_restarts); }},
+      {"sim.max_sim_time_s", [](RunSpec& s) { bump(s.sim.max_sim_time_s); }},
+      {"sim.record_epoch_logs", [](RunSpec& s) { bump(s.sim.record_epoch_logs); }},
+      {"trace.num_jobs", [](RunSpec& s) { bump(s.trace.num_jobs); }},
+      {"trace.mean_interarrival_s", [](RunSpec& s) { bump(s.trace.mean_interarrival_s); }},
+      {"trace.seed", [](RunSpec& s) { bump(s.trace.seed); }},
+      {"trace.poisson_arrivals", [](RunSpec& s) { bump(s.trace.poisson_arrivals); }},
+      {"trace.abnormal_fraction", [](RunSpec& s) { bump(s.trace.abnormal_fraction); }},
+      {"trace.abnormal_mean_lifetime_s",
+       [](RunSpec& s) { bump(s.trace.abnormal_mean_lifetime_s); }},
+      {"trace.max_requested_gpus", [](RunSpec& s) { bump(s.trace.max_requested_gpus); }},
+      {"trace.diurnal_amplitude", [](RunSpec& s) { bump(s.trace.diurnal_amplitude); }},
+  };
+
   const auto base = tiny_spec();
   const std::string key = cache_key(base);
   EXPECT_EQ(key, cache_key(tiny_spec()));  // deterministic
 
-  auto seed = base;
-  seed.trace.seed += 1;
-  EXPECT_NE(cache_key(seed), key);
+  // Every serialized line but the schema version has a knob above, so a
+  // field added to canonical_serialize without one fails here.
+  const std::vector<std::string> base_lines = lines_of(canonical_serialize(base));
+  EXPECT_EQ(std::size(knobs) + 1, base_lines.size());
 
-  auto nodes = base;
-  nodes.sim.topology.num_nodes += 1;
-  EXPECT_NE(cache_key(nodes), key);
-
-  auto variant = base;
-  variant.variant = "no-predictor";
-  EXPECT_NE(cache_key(variant), key);
-
-  auto knob = base;
-  knob.sim.convergence.lr_linear_scaling = false;
-  EXPECT_NE(cache_key(knob), key);
-
-  auto trace = base;
-  trace.trace.mean_interarrival_s *= 2.0;
-  EXPECT_NE(cache_key(trace), key);
-
-  // Fault injection (DESIGN.md §13) is simulation input (schema v4): every
-  // knob, including the recovery policy, must move the key.
-  auto fault = base;
-  fault.sim.fault.gpu_mtbf_s = 15000.0;
-  EXPECT_NE(cache_key(fault), key);
-  auto fault_seed = base;
-  fault_seed.sim.fault.seed += 1;
-  EXPECT_NE(cache_key(fault_seed), key);
-  auto ckpt = base;
-  ckpt.sim.fault.checkpoint_interval_s *= 2.0;
-  EXPECT_NE(cache_key(ckpt), key);
+  for (const Knob& knob : knobs) {
+    RunSpec spec = base;
+    knob.mutate(spec);
+    EXPECT_NE(cache_key(spec), key) << knob.key;
+    // The knob moves its own line and no other.
+    const std::vector<std::string> lines = lines_of(canonical_serialize(spec));
+    ASSERT_EQ(lines.size(), base_lines.size()) << knob.key;
+    int changed = 0;
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+      if (lines[i] == base_lines[i]) continue;
+      ++changed;
+      EXPECT_EQ(lines[i].rfind(std::string(knob.key) + "=", 0), 0u) << knob.key;
+    }
+    EXPECT_EQ(changed, 1) << knob.key;
+  }
 
   // Keys are filesystem-safe and embed the scheduler for debuggability.
   EXPECT_EQ(key.find("fifo-"), 0u);

@@ -74,6 +74,16 @@ TEST(LintR2, IterationAnnotationSuppresses) {
   EXPECT_TRUE(lint_fixture("src/sched/r2_iter_annotated.cpp").empty());
 }
 
+TEST(LintR2, DrlAndClusterAreDecisionPathModules) {
+  const auto fs = lint_fixture("src/drl/r2_reward_violation.cpp");
+  EXPECT_EQ(count_rule(fs, "R2"), 2u);  // the declaration and its range-for
+
+  const std::string decl = "#include <unordered_set>\nstd::unordered_set<int> nodes;\n";
+  EXPECT_EQ(count_rule(lint::lint_file("src/cluster/x.cpp", decl, lint::default_options()),
+                       "R2"),
+            1u);
+}
+
 TEST(LintR2, NonDecisionPathModulesAreOutOfScope) {
   EXPECT_TRUE(lint_fixture("src/telemetry/r2_not_decision_path.cpp").empty());
 }

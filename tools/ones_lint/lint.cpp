@@ -18,7 +18,7 @@ namespace {
 /// scheduling / elastic / evolution decision.
 const std::set<std::string>& decision_modules() {
   static const std::set<std::string> mods = {"sim", "sched", "core", "elastic",
-                                             "predict"};
+                                             "predict", "drl", "cluster"};
   return mods;
 }
 
