@@ -112,12 +112,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  telemetry::MetricsRegistry bench_registry;
-  exp::GridOptions grid = opt.grid;
-  grid.registry = &bench_registry;
-  if (!grid.prof_dir.empty()) grid.prof = &report.profile();
-
-  const auto runs = exp::run_grid(specs, grid);
+  const auto runs = report.run_grid(specs);
   const std::size_t n_rows = variants.size() + 1;
   const auto pooled = bench::pool_by_factory(runs, n_rows, opt.seeds);
 
@@ -140,7 +135,5 @@ int main(int argc, char** argv) {
     if (label == "full") continue;
     std::printf("  %-16s %+7.1f%%\n", label.c_str(), 100.0 * (jct - full_jct) / full_jct);
   }
-  report.cache_stats_from(bench_registry);
-  bench::print_cache_footer(bench_registry);
   return 0;
 }

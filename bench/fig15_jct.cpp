@@ -60,14 +60,9 @@ int main(int argc, char** argv) {
               trace_config.num_jobs,
               config.topology.num_nodes * config.topology.gpus_per_node);
 
-  telemetry::MetricsRegistry bench_registry;
-  exp::GridOptions grid = opt.grid;
-  grid.registry = &bench_registry;
-  if (!grid.prof_dir.empty()) grid.prof = &report.profile();
-
   const auto factories = bench::all_factories();
   const auto specs = bench::seed_grid(factories, config, trace_config, opt.seeds);
-  const auto runs = exp::run_grid(specs, grid);
+  const auto runs = report.run_grid(specs);
   const auto results = bench::pool_by_factory(runs, factories.size(), opt.seeds);
 
   std::printf("\nPanel (a/b/c): averages\n");
@@ -124,7 +119,5 @@ int main(int argc, char** argv) {
     report.metric("makespan." + s, r.summary.makespan);
     report.metric("utilization." + s, r.summary.utilization);
   }
-  report.cache_stats_from(bench_registry);
-  bench::print_cache_footer(bench_registry);
   return 0;
 }

@@ -12,8 +12,8 @@
 // same instruments any instrumented run exports — rather than from the raw
 // ScalingReport structs. Host-side overhead comes from prof::Profiler spans
 // (engine.*, elastic.stage, elastic.checkpoint — DESIGN.md §14) instead of
-// ad-hoc timers: `--prof-dir=P` writes `fig16_overhead.prof.json` and the
-// span table lands in the BENCH_fig16_overhead.json profile section.
+// ad-hoc timers: the span table always lands in the BENCH_fig16_overhead.json
+// profile section, and `--prof-dir=P` also writes `fig16_overhead.prof.json`.
 // `--metrics-dir=P` exports that registry as `fig16_overhead.timeline.csv` /
 // `.prom` / `.metrics.json`, and `--trace-dir=P` writes every elastic
 // session's protocol milestones (one job per model, in catalog order) to
@@ -36,12 +36,9 @@ using namespace ones;
 int main(int argc, char** argv) {
   const auto opt = exp::parse_bench_cli(argc, argv);
   bench::BenchReport report("fig16_overhead", opt);
-  // Off by default, exactly the orchestrated benches' contract: host-time
-  // spans only collect under --prof-dir, and never change any number on
-  // stdout.
-  std::optional<prof::Profiler> profiler;
-  if (!opt.grid.prof_dir.empty()) profiler.emplace();
-  prof::Profiler* prof_ptr = profiler ? &*profiler : nullptr;
+  // Host-time spans feed the BENCH profile, as the orchestrated benches'
+  // do; they never change any number on stdout.
+  prof::Profiler profiler;
   std::optional<trace::RunTraceWriter> writer;
   if (!opt.grid.trace_dir.empty()) writer.emplace(opt.grid.trace_dir, "fig16_overhead");
   const cluster::Topology topo(cluster::TopologyConfig{});
@@ -65,11 +62,11 @@ int main(int argc, char** argv) {
 
     // Elastic: event-by-event protocol simulation (background init overlap).
     sim::SimEngine engine;
-    engine.set_profiler(prof_ptr);
+    engine.set_profiler(&profiler);
     elastic::ScalingSession session(engine, profile, topo, costs, req,
                                     [](const elastic::ScalingReport&) {});
     session.set_metrics(&registry);
-    session.set_profiler(prof_ptr);
+    session.set_profiler(&profiler);
     if (writer) session.set_phase_hook(trace::protocol_phase_hook(*writer, req.job));
     session.start();
     engine.run();
@@ -77,7 +74,7 @@ int main(int argc, char** argv) {
     // Checkpoint: stop-save-restart-reload.
     sim::SimEngine engine2;
     elastic::run_checkpoint_migration(engine2, profile, costs, req, &registry,
-                                      prof_ptr);
+                                      &profiler);
 
     // Report from the registry: the protocol's last-blocked gauges hold the
     // numbers this figure plots.
@@ -124,9 +121,9 @@ int main(int argc, char** argv) {
     telemetry::write_metrics_files(registry, opt.grid.metrics_dir, "fig16_overhead");
   }
   if (writer) writer->close();
-  if (profiler) {
-    report.profile().add(*profiler);
-    prof::write_profile_file(opt.grid.prof_dir, "fig16_overhead", profiler->stats());
+  report.profile().add(profiler);
+  if (!opt.grid.prof_dir.empty()) {
+    prof::write_profile_file(opt.grid.prof_dir, "fig16_overhead", profiler.stats());
   }
   return 0;
 }

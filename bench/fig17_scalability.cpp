@@ -16,6 +16,7 @@
 // policies, reporting deterministic event/deployment counts on stdout and
 // the wall-clock throughput curve (events/sec, decisions/sec, peak RSS) on
 // stderr. stdout stays byte-identical for any --threads value in both modes.
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <map>
@@ -40,11 +41,6 @@ int run_paper(const exp::BenchOptions& opt, bench::BenchReport& report) {
   std::vector<std::string> order;
   for (const auto& f : factories) order.push_back(f.name);
 
-  telemetry::MetricsRegistry bench_registry;
-  exp::GridOptions grid = opt.grid;
-  grid.registry = &bench_registry;
-  if (!grid.prof_dir.empty()) grid.prof = &report.profile();
-
   // Grid layout: capacity-major, then (factory-major, seed-minor) per
   // capacity — the seed_grid slices concatenate in node_counts order.
   std::vector<exp::RunSpec> specs;
@@ -53,7 +49,7 @@ int run_paper(const exp::BenchOptions& opt, bench::BenchReport& report) {
                                                  trace_config, opt.seeds);
     specs.insert(specs.end(), capacity_specs.begin(), capacity_specs.end());
   }
-  const auto runs = exp::run_grid(specs, grid);
+  const auto runs = report.run_grid(specs);
 
   // scheduler -> per-capacity summaries, pooled over seeds
   std::map<std::string, std::vector<telemetry::Summary>> table;
@@ -136,8 +132,6 @@ int run_paper(const exp::BenchOptions& opt, bench::BenchReport& report) {
       report.metric("avg_queue." + suffix, table[name][c].avg_queue);
     }
   }
-  report.cache_stats_from(bench_registry);
-  bench::print_cache_footer(bench_registry);
   return 0;
 }
 
@@ -165,13 +159,6 @@ int run_hyperscale(const exp::BenchOptions& opt, bench::BenchReport& report) {
   std::printf(
       "Hyperscale scalability: event-engine stress, 1,000..10,000 GPUs\n");
 
-  telemetry::MetricsRegistry bench_registry;
-  exp::GridOptions grid = opt.grid;
-  grid.registry = &bench_registry;
-  if (!grid.prof_dir.empty()) grid.prof = &report.profile();
-
-  const std::size_t per_tier = factories.size() * static_cast<std::size_t>(opt.seeds);
-  double prev_executed = 0.0;
   std::vector<std::uint64_t> tier_events;
   bool all_complete = true;
   for (const auto& tier : tiers) {
@@ -184,11 +171,10 @@ int run_hyperscale(const exp::BenchOptions& opt, bench::BenchReport& report) {
 
     const auto specs = bench::seed_grid(factories, sim, trace, opt.seeds);
     bench::WallClock clock;
-    const auto runs = exp::run_grid(specs, grid);
+    const auto runs = report.run_grid(specs);
     const double wall_s = clock.seconds();
-    const double executed = bench_registry.counter_value("exp_runs_executed_total");
-    const double executed_here = executed - prev_executed;
-    prev_executed = executed;
+    const auto executed_here = static_cast<std::size_t>(std::count_if(
+        runs.begin(), runs.end(), [](const bench::RunResult& r) { return !r.from_cache; }));
 
     std::printf("\n-- %d nodes (%d GPUs), %d jobs, mean interarrival %.1f s --\n",
                 tier.nodes, tier.nodes * 4, tier.jobs, tier.interarrival_s);
@@ -222,19 +208,19 @@ int run_hyperscale(const exp::BenchOptions& opt, bench::BenchReport& report) {
 
     // Throughput is wall-clock and so stderr-only; a cache-served tier has
     // no execution to time, so say that instead of printing a bogus rate.
-    if (executed_here >= static_cast<double>(per_tier) && wall_s > 0.0) {
+    if (executed_here == runs.size() && wall_s > 0.0) {
       std::fprintf(stderr,
                    "[hyperscale] %5d GPUs: %.1f s wall, %.3g events/s, "
                    "%.3g decisions/s, peak RSS %.0f MiB\n",
                    tier.nodes * 4, wall_s,
                    static_cast<double>(events_total) / wall_s,
                    static_cast<double>(decisions_total) / wall_s,
-                   bench::peak_rss_mib());
+                   common::peak_rss_mib());
     } else {
       std::fprintf(stderr,
-                   "[hyperscale] %5d GPUs: %.0f/%zu runs executed (rest cached); "
+                   "[hyperscale] %5d GPUs: %zu/%zu runs executed (rest cached); "
                    "no throughput sample\n",
-                   tier.nodes * 4, executed_here, per_tier);
+                   tier.nodes * 4, executed_here, runs.size());
     }
   }
 
@@ -252,8 +238,6 @@ int run_hyperscale(const exp::BenchOptions& opt, bench::BenchReport& report) {
                   static_cast<double>(tier_events[t]));
   }
   report.metric("all_jobs_complete", all_complete ? 1.0 : 0.0);
-  report.cache_stats_from(bench_registry);
-  bench::print_cache_footer(bench_registry);
   return 0;
 }
 

@@ -89,18 +89,7 @@ class WallClock {
   std::chrono::steady_clock::time_point start_;
 };
 
-/// Peak resident set size (VmHWM) in MiB; 0.0 when unavailable (non-Linux).
-/// Diagnostics only — callers print it to stderr or BENCH_*.json. The
-/// reader itself lives in src/common (common::peak_rss_mib).
-inline double peak_rss_mib() { return common::peak_rss_mib(); }
-
 using RunResult = exp::RunResult;
-
-inline RunResult run_one(const sched::SimulationConfig& config,
-                         const std::vector<workload::JobSpec>& trace,
-                         sched::Scheduler& scheduler) {
-  return exp::run_simulation(config, trace, scheduler);
-}
 
 /// A named scheduler factory for grid specs. Every run gets a FRESH
 /// scheduler instance (parallel runs must not share mutable policy state).
@@ -211,29 +200,14 @@ inline void print_rule(char ch = '-', int width = 100) {
   std::putchar('\n');
 }
 
-/// stderr footer with the orchestrator cache statistics run_grid recorded
-/// into the bench's registry (GridOptions::registry). Printed next to the
-/// ScopedTimer line — stdout carries metric output that must stay
-/// byte-identical, so diagnostics never go there.
-inline void print_cache_footer(const telemetry::MetricsRegistry& registry) {
-  std::fprintf(stderr,
-               "[cache] hits=%.0f misses=%.0f stores=%.0f demotions=%.0f executed=%.0f\n",
-               registry.counter_value("exp_cache_hits_total"),
-               registry.counter_value("exp_cache_misses_total"),
-               registry.counter_value("exp_cache_stores_total"),
-               registry.counter_value("exp_cache_demotions_total"),
-               registry.counter_value("exp_runs_executed_total"));
-  std::fflush(stderr);
-}
-
 /// Canonical machine-readable bench results (DESIGN.md §14). Construct one
-/// per bench from the parsed CLI options; feed it the deterministic headline
-/// metrics (`metric`), host-side measurements (`host_metric`), the cache
-/// statistics registry and — via `profile()` wired into
-/// `GridOptions::prof` — the merged host-span rollup. On destruction it
-/// prints the stderr footer (wall-clock, peak RSS, span table) and writes
-/// `BENCH_<name>.json` (or `--bench-json=PATH`) via
-/// `common::write_file_atomically`.
+/// per bench from the parsed CLI options; run the bench's grids through
+/// `run_grid` (which profiles every executed run into the report's rollup
+/// and counts cache-served vs executed runs) and feed it the deterministic
+/// headline metrics (`metric`) and host-side measurements (`host_metric`).
+/// On destruction it prints the stderr footer (wall-clock, peak RSS, cache
+/// counts, span table) and writes `BENCH_<name>.json` (or
+/// `--bench-json=PATH`) via `common::write_file_atomically`.
 /// Deterministic metric values are strictly separated from host noise: the
 /// `metrics` object must be byte-stable across runs and thread counts, while
 /// everything under `host` (and the profile nanoseconds) is wall-clock.
@@ -242,7 +216,7 @@ class BenchReport {
  public:
   BenchReport(const std::string& name, const exp::BenchOptions& opt)
       : name_(name),
-        threads_(opt.grid.threads),
+        grid_(opt.grid),
         seeds_(opt.seeds),
         enabled_(opt.write_bench_json),
         path_(opt.bench_json.empty() ? "BENCH_" + name + ".json" : opt.bench_json),
@@ -256,28 +230,31 @@ class BenchReport {
   /// compared warn-only by tools/bench_diff.
   void host_metric(const std::string& key, double value) { host_metrics_[key] = value; }
 
-  /// Copy the orchestrator cache statistics out of the bench registry
-  /// (GridOptions::registry after run_grid).
-  void cache_stats_from(const telemetry::MetricsRegistry& registry) {
-    cache_["hits"] = registry.counter_value("exp_cache_hits_total");
-    cache_["misses"] = registry.counter_value("exp_cache_misses_total");
-    cache_["stores"] = registry.counter_value("exp_cache_stores_total");
-    cache_["demotions"] = registry.counter_value("exp_cache_demotions_total");
-    cache_["executed"] = registry.counter_value("exp_runs_executed_total");
-    have_cache_ = true;
+  /// `exp::run_grid` with the CLI's grid options and this report's rollup as
+  /// `GridOptions::prof`, so every executed run's spans land in the BENCH
+  /// profile; the results' `from_cache` flags feed the `"cache"` counts.
+  std::vector<RunResult> run_grid(const std::vector<exp::RunSpec>& specs) {
+    exp::GridOptions grid = grid_;
+    grid.prof = &profile_;
+    auto runs = exp::run_grid(specs, grid);
+    for (const RunResult& r : runs) ++(r.from_cache ? cache_hits_ : cache_executed_);
+    return runs;
   }
 
-  /// The bench-level span rollup; point GridOptions::prof at it (only when
-  /// the user asked for profiling — the off-by-default contract is the
-  /// bench's to keep) or `add` profilers manually.
+  /// The bench-level span rollup, for benches that `add` profilers of their
+  /// own.
   prof::ProfileRollup& profile() { return profile_; }
 
   ~BenchReport() {
     const double wall_s =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start_).count();
     const double rss_mib = common::peak_rss_mib();
-    std::fprintf(stderr, "[%s] wall-clock: %.1f s  peak-rss: %.1f MiB\n", name_.c_str(),
-                 wall_s, rss_mib);
+    std::fprintf(stderr, "[%s] wall-clock: %.1f s  peak-rss: %.1f MiB", name_.c_str(), wall_s,
+                 rss_mib);
+    if (ran_grid()) {
+      std::fprintf(stderr, "  cache: %zu hits, %zu executed", cache_hits_, cache_executed_);
+    }
+    std::fputc('\n', stderr);
     if (!profile_.empty()) std::fputs(prof::format_profile(profile_.stats()).c_str(), stderr);
     std::fflush(stderr);
     if (!enabled_) return;
@@ -290,20 +267,21 @@ class BenchReport {
   }
 
  private:
+  bool ran_grid() const { return cache_hits_ + cache_executed_ > 0; }
+
   void write_json(double wall_s, double rss_mib) const {
     common::write_file_atomically(path_, [&](std::ostream& out) {
       out << "{\"schema\":1,\"bench\":" << json_quote(name_)
-          << ",\"threads\":" << threads_ << ",\"seeds\":" << seeds_;
+          << ",\"threads\":" << grid_.threads << ",\"seeds\":" << seeds_;
       out << ",\n\"metrics\":{";
       write_map(out, metrics_);
       out << "},\n\"host\":{\"wall_seconds\":" << json_double(wall_s)
           << ",\"peak_rss_mib\":" << json_double(rss_mib) << ",\"metrics\":{";
       write_map(out, host_metrics_);
       out << "}}";
-      if (have_cache_) {
-        out << ",\n\"cache\":{";
-        write_map(out, cache_);
-        out << "}";
+      if (ran_grid()) {
+        out << ",\n\"cache\":{\"hits\":" << cache_hits_ << ",\"executed\":" << cache_executed_
+            << "}";
       }
       out << ",\n\"profile\":";
       prof::write_spans_json(out, profile_.stats());
@@ -320,15 +298,15 @@ class BenchReport {
   }
 
   std::string name_;
-  int threads_;
+  exp::GridOptions grid_;
   int seeds_;
   bool enabled_;
   std::string path_;
   std::chrono::steady_clock::time_point start_;
   std::map<std::string, double> metrics_;
   std::map<std::string, double> host_metrics_;
-  std::map<std::string, double> cache_;
-  bool have_cache_ = false;
+  std::size_t cache_hits_ = 0;
+  std::size_t cache_executed_ = 0;
   prof::ProfileRollup profile_;
 };
 

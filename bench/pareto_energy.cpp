@@ -86,12 +86,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  telemetry::MetricsRegistry bench_registry;
-  exp::GridOptions grid = opt.grid;
-  grid.registry = &bench_registry;
-  if (!grid.prof_dir.empty()) grid.prof = &report.profile();
-
-  const auto runs = exp::run_grid(specs, grid);
+  const auto runs = report.run_grid(specs);
   const auto pooled = bench::pool_by_factory(runs, grid_configs.size(), opt.seeds);
 
   std::printf("%-14s %s\n", "config", telemetry::format_summary_header().c_str());
@@ -134,7 +129,5 @@ int main(int argc, char** argv) {
                 s.cluster_joules / 1e3 / static_cast<double>(trace_config.num_jobs));
   }
   report.metric("pareto_frontier_size", static_cast<double>(frontier.size()));
-  report.cache_stats_from(bench_registry);
-  bench::print_cache_footer(bench_registry);
   return 0;
 }

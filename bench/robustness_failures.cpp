@@ -94,11 +94,7 @@ int main(int argc, char** argv) {
               cluster::FaultConfig{}.checkpoint_interval_s,
               cluster::FaultConfig{}.retry_backoff_s, cluster::FaultConfig{}.max_restarts);
 
-  telemetry::MetricsRegistry bench_registry;
-  exp::GridOptions grid = opt.grid;
-  grid.registry = &bench_registry;
-  if (!grid.prof_dir.empty()) grid.prof = &report.profile();
-  const auto runs = exp::run_grid(specs, grid);
+  const auto runs = report.run_grid(specs);
 
   std::printf("%-10s %-10s %6s %6s %10s %10s %6s\n", "regime", "scheduler", "done",
               "lost", "avgJCT", "p90JCT", "util");
@@ -177,7 +173,5 @@ int main(int argc, char** argv) {
   }
 
   report.metric("ones_still_ahead", ones_still_ahead ? 1.0 : 0.0);
-  report.cache_stats_from(bench_registry);
-  bench::print_cache_footer(bench_registry);
   return 0;
 }

@@ -21,14 +21,14 @@ int main() {
   double evolution_jct = 0.0, annealing_jct = 0.0, random_jct = 0.0;
   {
     core::OnesScheduler s;  // population-based evolution (the paper)
-    const auto r = bench::run_one(config, trace, s);
+    const auto r = exp::run_simulation(config, trace, s);
     std::printf("%-14s %s\n", "evolution", telemetry::format_summary_row(r.summary).c_str());
     std::fflush(stdout);
     evolution_jct = r.summary.avg_jct;
   }
   {
     core::AnnealingScheduler s;  // Metropolis walk, mutation neighborhood
-    const auto r = bench::run_one(config, trace, s);
+    const auto r = exp::run_simulation(config, trace, s);
     std::printf("%-14s %s\n", "annealing", telemetry::format_summary_row(r.summary).c_str());
     std::printf("               (proposals %llu, accepted %.0f%%, final T %.1f)\n",
                 static_cast<unsigned long long>(s.proposals()),
@@ -45,7 +45,7 @@ int main() {
     cfg.evolution.use_crossover = false;
     cfg.evolution.use_mutation = false;
     core::OnesScheduler s(cfg);
-    const auto r = bench::run_one(config, trace, s);
+    const auto r = exp::run_simulation(config, trace, s);
     std::printf("%-14s %s\n", "random", telemetry::format_summary_row(r.summary).c_str());
     random_jct = r.summary.avg_jct;
   }

@@ -12,7 +12,7 @@ namespace {
 double run_with(const core::OnesConfig& cfg, const sched::SimulationConfig& config,
                 const std::vector<workload::JobSpec>& trace, const char* label) {
   core::OnesScheduler s(cfg);
-  const auto r = bench::run_one(config, trace, s);
+  const auto r = exp::run_simulation(config, trace, s);
   std::printf("  %-22s avgJCT %8.1f  avgExec %8.1f  avgQueue %8.1f\n", label,
               r.summary.avg_jct, r.summary.avg_exec, r.summary.avg_queue);
   std::fflush(stdout);

@@ -26,14 +26,9 @@ int main(int argc, char** argv) {
               " x %d seed%s)\n",
               trace_config.num_jobs, opt.seeds, opt.seeds == 1 ? "" : "s");
 
-  telemetry::MetricsRegistry bench_registry;
-  exp::GridOptions grid = opt.grid;
-  grid.registry = &bench_registry;
-  if (!grid.prof_dir.empty()) grid.prof = &report.profile();
-
   const auto factories = bench::paper_factories();
   const auto specs = bench::seed_grid(factories, config, trace_config, opt.seeds);
-  const auto runs = exp::run_grid(specs, grid);
+  const auto runs = report.run_grid(specs);
   const auto results = bench::pool_by_factory(runs, factories.size(), opt.seeds);
 
   std::printf("\n%-14s %24s %30s\n", "", "p value (two-sided)", "p value (one-sided negative)");
@@ -54,7 +49,5 @@ int main(int argc, char** argv) {
   std::printf("\nShape check vs the paper (two-sided p << 0.05 and one-sided\n"
               "negative p near 1 for every baseline): %s\n",
               all_significant ? "OK" : "MISMATCH");
-  report.cache_stats_from(bench_registry);
-  bench::print_cache_footer(bench_registry);
   return 0;
 }

@@ -6,8 +6,9 @@
 // Usage: export_results [output_dir]   (default: ./ones_results)
 #include <cstdio>
 #include <filesystem>
-#include <sstream>
+#include <ostream>
 
+#include "common/atomic_file.hpp"
 #include "core/ones_scheduler.hpp"
 #include "sched/simulation.hpp"
 #include "sched/tiresias.hpp"
@@ -37,13 +38,13 @@ int main(int argc, char** argv) {
     sim.run();
     summaries.push_back(sim.summary(s.name()));
 
-    std::ostringstream jobs_csv;
-    telemetry::write_jobs_csv(jobs_csv, sim.metrics());
-    telemetry::write_file(out_dir + "/jobs_" + tag + ".csv", jobs_csv.str());
-
-    std::ostringstream ecdf_csv;
-    telemetry::write_ecdf_csv(ecdf_csv, sim.metrics().jcts(), "jct_s");
-    telemetry::write_file(out_dir + "/jct_ecdf_" + tag + ".csv", ecdf_csv.str());
+    common::write_file_atomically(out_dir + "/jobs_" + tag + ".csv", [&](std::ostream& out) {
+      telemetry::write_jobs_csv(out, sim.metrics());
+    });
+    common::write_file_atomically(out_dir + "/jct_ecdf_" + tag + ".csv",
+                                  [&](std::ostream& out) {
+                                    telemetry::write_ecdf_csv(out, sim.metrics().jcts(), "jct_s");
+                                  });
 
     std::printf("  %-10s avg JCT %8.1f s  ->  jobs_%s.csv, jct_ecdf_%s.csv\n",
                 s.name().c_str(), summaries.back().avg_jct, tag.c_str(), tag.c_str());
@@ -59,8 +60,9 @@ int main(int argc, char** argv) {
     run_and_export(s, "tiresias");
   }
 
-  telemetry::write_file(out_dir + "/summary.json",
-                        telemetry::summaries_to_json(summaries) + "\n");
+  common::write_file_atomically(out_dir + "/summary.json", [&](std::ostream& out) {
+    out << telemetry::summaries_to_json(summaries) << '\n';
+  });
   std::printf("  summary.json + trace.csv written\n");
   std::printf("\nReload the exact trace later with workload::load_trace(\"%s/trace.csv\")\n",
               out_dir.c_str());

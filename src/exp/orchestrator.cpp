@@ -55,7 +55,9 @@ RunInstruments::RunInstruments(const GridOptions& options, std::string stem)
   if (!metrics_dir_.empty()) metrics_.emplace();
   if (!prof_dir_.empty() || rollup_ != nullptr) {
     profiler_.emplace();
-    if (writer_) profiler_->enable_timeline();  // feeds the Chrome merge
+    // The Chrome merge is a --prof-dir output: a rollup alone leaves the
+    // trace files as they are without profiling.
+    if (writer_ && !prof_dir_.empty()) profiler_->enable_timeline();
   }
 }
 
@@ -75,7 +77,7 @@ void RunInstruments::export_outputs() {
     // stream (the golden-digest format) never sees profiler output. This
     // span is not in the timeline it merges.
     const prof::Scope span(profiler(), "export.trace");
-    if (profiler_) {
+    if (profiler_ && profiler_->timeline_enabled()) {
       for (const std::string& ev : prof::chrome_span_events(*profiler_)) {
         writer_->chrome_raw_event(ev);
       }
@@ -208,15 +210,6 @@ std::vector<RunResult> run_grid(const std::vector<RunSpec>& specs,
   }
 
   if (options.prof != nullptr && grid_prof) options.prof->add(*grid_prof);
-
-  if (options.registry != nullptr) {
-    auto& reg = *options.registry;
-    reg.counter("exp_cache_hits_total").add(static_cast<double>(cache.hits()));
-    reg.counter("exp_cache_misses_total").add(static_cast<double>(cache.misses()));
-    reg.counter("exp_cache_demotions_total").add(static_cast<double>(cache.demotions()));
-    reg.counter("exp_cache_stores_total").add(static_cast<double>(cache.stores()));
-    reg.counter("exp_runs_executed_total").add(static_cast<double>(pending.size()));
-  }
 
   progress.finish(static_cast<std::size_t>(cache.hits()));
   return results;

@@ -41,21 +41,17 @@ struct GridOptions {
   /// input or changes a result (DESIGN.md §6). `trace_dir` gets
   /// `.jsonl` + `.trace.json` (§8), `metrics_dir` `.timeline.csv` + `.prom`
   /// + `.metrics.json` (§9), `prof_dir` `.prof.json` (§14); with both
-  /// `trace_dir` and profiling on, each run's span timeline also merges into
-  /// its `.trace.json` as a wall-clock track (the `.jsonl` stream is
+  /// `trace_dir` and `prof_dir` set, each run's span timeline also merges
+  /// into its `.trace.json` as a wall-clock track (the `.jsonl` stream is
   /// untouched).
   std::string trace_dir;
   std::string metrics_dir;
   std::string prof_dir;
-  /// Optional bench-level registry (not owned). After the grid completes,
-  /// run_grid records the orchestrator cache statistics into it:
-  /// `exp_cache_{hits,misses,demotions,stores}_total` and
-  /// `exp_runs_executed_total`.
-  telemetry::MetricsRegistry* registry = nullptr;
   /// Optional grid-level rollup (not owned). When non-null, profiling is on
   /// even without prof_dir and every run's spans (plus the orchestrator's
   /// own `cache.read`/`cache.write` spans) are aggregated into it by span
-  /// path — a deterministic merge independent of thread count.
+  /// path — a deterministic merge independent of thread count. It writes no
+  /// file and leaves every trace file as it is without profiling.
   prof::ProfileRollup* prof = nullptr;
 };
 
@@ -67,7 +63,7 @@ class RunInstruments {
  public:
   /// A trace writer when `trace_dir` is set, a registry when `metrics_dir`
   /// is, and a profiler when `prof_dir` or the `prof` rollup is (keeping a
-  /// timeline for the Chrome merge when tracing too).
+  /// timeline for the Chrome merge when both `trace_dir` and `prof_dir` are).
   RunInstruments(const GridOptions& options, std::string stem);
 
   /// Point `config`'s trace sink, metrics registry and profiler at this
@@ -75,8 +71,8 @@ class RunInstruments {
   void attach(sched::SimulationConfig& config);
 
   /// After the run: the metrics files under an `export.metrics` span, then
-  /// the host-span merge into the Chrome trace and the writer's close under
-  /// `export.trace`.
+  /// the host-span merge into the Chrome trace (when the profiler keeps a
+  /// timeline) and the writer's close under `export.trace`.
   void export_outputs();
 
   /// `<stem>.prof.json` and the merge into the rollup. Callers that share

@@ -1,11 +1,10 @@
 #include "telemetry/report.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <ostream>
 #include <sstream>
 
-#include "common/expect.hpp"
+#include "common/json.hpp"
 
 namespace ones::telemetry {
 
@@ -33,13 +32,17 @@ void write_ecdf_csv(std::ostream& os, const std::vector<double>& values,
 
 std::string summary_to_json(const Summary& s) {
   std::ostringstream os;
-  os << "{\"scheduler\":\"" << s.scheduler << "\",\"jobs\":" << s.jobs
-     << ",\"avg_jct_s\":" << s.avg_jct << ",\"avg_exec_s\":" << s.avg_exec
-     << ",\"avg_queue_s\":" << s.avg_queue << ",\"p50_jct_s\":" << s.p50_jct
-     << ",\"p90_jct_s\":" << s.p90_jct << ",\"max_jct_s\":" << s.max_jct
-     << ",\"makespan_s\":" << s.makespan << ",\"utilization\":" << s.utilization
-     << ",\"cluster_joules\":" << s.cluster_joules
-     << ",\"overhead_joules\":" << s.overhead_joules << "}";
+  os << "{\"scheduler\":" << json_quote(s.scheduler) << ",\"jobs\":" << s.jobs
+     << ",\"avg_jct_s\":" << json_double(s.avg_jct)
+     << ",\"avg_exec_s\":" << json_double(s.avg_exec)
+     << ",\"avg_queue_s\":" << json_double(s.avg_queue)
+     << ",\"p50_jct_s\":" << json_double(s.p50_jct)
+     << ",\"p90_jct_s\":" << json_double(s.p90_jct)
+     << ",\"max_jct_s\":" << json_double(s.max_jct)
+     << ",\"makespan_s\":" << json_double(s.makespan)
+     << ",\"utilization\":" << json_double(s.utilization)
+     << ",\"cluster_joules\":" << json_double(s.cluster_joules)
+     << ",\"overhead_joules\":" << json_double(s.overhead_joules) << "}";
   return os.str();
 }
 
@@ -52,13 +55,6 @@ std::string summaries_to_json(const std::vector<Summary>& summaries) {
   }
   os << "]";
   return os.str();
-}
-
-void write_file(const std::string& path, const std::string& contents) {
-  std::ofstream f(path, std::ios::binary);
-  ONES_EXPECT_MSG(f.good(), "cannot open " + path + " for writing");
-  f << contents;
-  ONES_EXPECT_MSG(f.good(), "write to " + path + " failed");
 }
 
 }  // namespace ones::telemetry

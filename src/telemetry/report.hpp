@@ -30,13 +30,11 @@ void write_jobs_csv(std::ostream& os, const MetricsCollector& metrics);
 void write_ecdf_csv(std::ostream& os, const std::vector<double>& values,
                     const std::string& value_header = "value");
 
-/// Serialize a Summary as a single JSON object (flat, stable key order).
+/// Serialize a Summary as a single JSON object (flat, stable key order;
+/// doubles round-trip exactly, as common/json writes them).
 std::string summary_to_json(const Summary& summary);
 
 /// Serialize several summaries as a JSON array.
 std::string summaries_to_json(const std::vector<Summary>& summaries);
-
-/// Convenience: write a string to a file; throws on I/O failure.
-void write_file(const std::string& path, const std::string& contents);
 
 }  // namespace ones::telemetry

@@ -20,8 +20,9 @@
 #include "exp/orchestrator.hpp"
 #include "sched/fifo.hpp"
 #include "sched/tiresias.hpp"
-#include "telemetry/registry.hpp"
 #include "trace/replay.hpp"
+
+#include "bench/harness.hpp"
 
 namespace ones::exp {
 namespace {
@@ -616,30 +617,76 @@ TEST(ExpInstruments, CacheServedRunsEmitNothingWithAllThree) {
   expect_cache_served_runs_emit_nothing(kAllInstruments);
 }
 
-TEST(ExpMetrics, GridPublishesCacheStatsIntoRegistry) {
-  TempCacheDir cache_dir("ones_exp_metrics_stats");
+/// The `"cache"` object and whether the profile holds a `decision` span, of
+/// the BENCH file a BenchReport over `specs` writes after one grid.
+std::pair<JsonValue, bool> bench_report_once(const std::vector<RunSpec>& specs,
+                                             const std::string& cache_dir,
+                                             const std::string& bench_json) {
+  BenchOptions opt;
+  opt.grid = quiet_options(2, true, cache_dir);
+  opt.bench_json = bench_json;
+  {
+    bench::BenchReport report("exp_test", opt);
+    report.run_grid(specs);
+  }
+  const JsonValue doc = parse_json(read_file(bench_json));
+  const JsonValue* cache = doc.find("cache");
+  const JsonValue* profile = doc.find("profile");
+  EXPECT_NE(cache, nullptr);
+  EXPECT_NE(profile, nullptr);
+  bool decision = false;
+  if (profile != nullptr) {
+    for (const JsonValue& span : profile->array) {
+      decision = decision || span.find("path")->string.rfind("decision", 0) == 0;
+    }
+  }
+  return {cache != nullptr ? *cache : JsonValue{}, decision};
+}
+
+TEST(ExpBenchReport, CountsCacheHitsAndProfilesEveryExecutedRun) {
+  TempCacheDir cache_dir("ones_exp_bench_report_cache");
+  TempCacheDir out_dir("ones_exp_bench_report_out");
+  fs::create_directories(out_dir.path());
+  const std::string bench_json = (fs::path(out_dir.path()) / "BENCH_exp_test.json").string();
   const auto specs = tiny_grid();
+  const auto n = static_cast<double>(specs.size());
 
-  telemetry::MetricsRegistry cold_registry;
-  auto cold_opt = quiet_options(2, true, cache_dir.path());
-  cold_opt.registry = &cold_registry;
-  run_grid(specs, cold_opt);
-  EXPECT_DOUBLE_EQ(cold_registry.counter_value("exp_cache_hits_total"), 0.0);
-  EXPECT_DOUBLE_EQ(cold_registry.counter_value("exp_cache_misses_total"),
-                   static_cast<double>(specs.size()));
-  EXPECT_DOUBLE_EQ(cold_registry.counter_value("exp_cache_stores_total"),
-                   static_cast<double>(specs.size()));
-  EXPECT_DOUBLE_EQ(cold_registry.counter_value("exp_runs_executed_total"),
-                   static_cast<double>(specs.size()));
+  // Cold: every run executes, and its spans reach the BENCH profile without
+  // any --prof-dir.
+  const auto [cold, cold_decision] = bench_report_once(specs, cache_dir.path(), bench_json);
+  ASSERT_EQ(cold.object.size(), 2u);
+  EXPECT_EQ(cold.object[0].first, "hits");
+  EXPECT_EQ(cold.object[0].second.number, 0.0);
+  EXPECT_EQ(cold.object[1].first, "executed");
+  EXPECT_EQ(cold.object[1].second.number, n);
+  EXPECT_TRUE(cold_decision);
 
-  telemetry::MetricsRegistry warm_registry;
-  auto warm_opt = quiet_options(2, true, cache_dir.path());
-  warm_opt.registry = &warm_registry;
-  run_grid(specs, warm_opt);
-  EXPECT_DOUBLE_EQ(warm_registry.counter_value("exp_cache_hits_total"),
-                   static_cast<double>(specs.size()));
-  EXPECT_DOUBLE_EQ(warm_registry.counter_value("exp_cache_misses_total"), 0.0);
-  EXPECT_DOUBLE_EQ(warm_registry.counter_value("exp_runs_executed_total"), 0.0);
+  // Warm: every run is cache-served, so no decision was profiled.
+  const auto [warm, warm_decision] = bench_report_once(specs, cache_dir.path(), bench_json);
+  ASSERT_EQ(warm.object.size(), 2u);
+  EXPECT_EQ(warm.find("hits")->number, n);
+  EXPECT_EQ(warm.find("executed")->number, 0.0);
+  EXPECT_FALSE(warm_decision);
+}
+
+TEST(ExpTracing, RollupWithoutProfDirLeavesTraceFilesAsTheyAre) {
+  // The bench rollup is always on; the Chrome trace gains a host-span track
+  // only under prof_dir, so a traced run's files match an unprofiled run's.
+  const std::vector<RunSpec> specs = {tiny_spec()};
+  TempCacheDir plain_dir("ones_exp_trace_plain");
+  TempCacheDir rolled_dir("ones_exp_trace_rolled");
+  prof::ProfileRollup rollup;
+  run_grid(specs, instrumented(quiet_options(1), kTrace, plain_dir.path()));
+  auto rolled = instrumented(quiet_options(1), kTrace, rolled_dir.path());
+  rolled.prof = &rollup;
+  run_grid(specs, rolled);
+  EXPECT_FALSE(rollup.empty());
+  for (const auto& ext : extensions(kTrace)) {
+    const std::string where = cache_key(specs[0]) + ext;
+    const std::string plain = read_file(fs::path(plain_dir.path()) / where);
+    ASSERT_FALSE(plain.empty()) << where;
+    EXPECT_EQ(plain, read_file(fs::path(rolled_dir.path()) / where)) << where;
+  }
 }
 
 /// FIFO that throws on its 5th event: a run that fails mid-simulation.

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <utility>
 
 #include "cluster/fragmentation.hpp"
+#include "common/json.hpp"
 #include "telemetry/report.hpp"
 
 namespace ones {
@@ -94,6 +96,38 @@ TEST(ReportJson, SummaryRoundTripKeys) {
   EXPECT_NE(json.find("\"avg_jct_s\":123.5"), std::string::npos);
   EXPECT_EQ(json.front(), '{');
   EXPECT_EQ(json.back(), '}');
+}
+
+TEST(ReportJson, SummaryDoublesAndNameRoundTripExactly) {
+  telemetry::Summary s;
+  s.scheduler = "ONES \"λ=0.25\"\\v2";
+  s.jobs = 7;
+  s.avg_jct = 904.85281993075091;
+  s.avg_exec = 1.0 / 3.0;
+  s.avg_queue = 123456.78901234567;
+  s.p50_jct = 0.1;
+  s.p90_jct = 2.0 / 7.0;
+  s.max_jct = 1e300;
+  s.makespan = 98765.432101234;
+  s.utilization = 0.6180339887498949;
+  s.cluster_joules = 4.2e9 / 3.0;
+  s.overhead_joules = 5e-324;
+  const JsonValue doc = parse_json(telemetry::summary_to_json(s));
+  ASSERT_EQ(doc.kind, JsonValue::Kind::Object);
+  EXPECT_EQ(doc.find("scheduler")->string, s.scheduler);
+  EXPECT_EQ(doc.find("jobs")->number, 7.0);
+  // Bit-equal, not near: every JCT in summary.json is the run's own value.
+  const std::pair<const char*, double> fields[] = {
+      {"avg_jct_s", s.avg_jct},         {"avg_exec_s", s.avg_exec},
+      {"avg_queue_s", s.avg_queue},     {"p50_jct_s", s.p50_jct},
+      {"p90_jct_s", s.p90_jct},         {"max_jct_s", s.max_jct},
+      {"makespan_s", s.makespan},       {"utilization", s.utilization},
+      {"cluster_joules", s.cluster_joules}, {"overhead_joules", s.overhead_joules}};
+  for (const auto& [key, value] : fields) {
+    const JsonValue* v = doc.find(key);
+    ASSERT_NE(v, nullptr) << key;
+    EXPECT_EQ(v->number, value) << key;
+  }
 }
 
 TEST(ReportJson, SummariesArray) {
